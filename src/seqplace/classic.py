@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import DescriptorSequence, MatchScores, ValidationError
 
 METRICS = ("sad", "cosine")
+ENHANCE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,9 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
     a = ref.data.astype(np.float64)
     b = query.data.astype(np.float64)
     if metric == "sad":
-        matrix = _kernels.sad_matrix(a, b)
+        matrix = np.empty((a.shape[0], b.shape[0]))
+        for i in range(a.shape[0]):
+            matrix[i] = np.abs(b - a[i]).sum(axis=1)
     else:
         for name, rows in (("reference", a), ("query", b)):
             norms = np.linalg.norm(rows, axis=1)
@@ -103,8 +105,22 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     around it within its column: (D - mu_local) / (sigma_local + 1e-9)."""
     if r_window < 2:
         raise ValidationError(f"r_window must be at least 2, got {r_window}")
-    d = matrix.matrix if isinstance(matrix, SimilarityMatrix) else np.asarray(matrix)
-    return _kernels.enhance(np.ascontiguousarray(d, dtype=np.float64), int(r_window))
+    d = matrix.matrix if isinstance(matrix, SimilarityMatrix) else matrix
+    d = np.asarray(d, dtype=np.float64)
+    r_window = int(r_window)
+    n_rows = d.shape[0]
+    w = min(r_window, n_rows)
+    lo = np.clip(np.arange(n_rows) - r_window // 2, 0, n_rows - w)
+    # per-column offset keeps the cumulative sums well conditioned (the
+    # normalization is shift-invariant, and constant columns become exact)
+    shifted = d - d[:1]
+    s = np.zeros((n_rows + 1, d.shape[1]))
+    np.cumsum(shifted, axis=0, out=s[1:])
+    s2 = np.zeros_like(s)
+    np.cumsum(shifted * shifted, axis=0, out=s2[1:])
+    mean = (s[lo + w] - s[lo]) / w
+    var = np.maximum((s2[lo + w] - s2[lo]) / w - mean * mean, 0.0)
+    return (shifted - mean) / (np.sqrt(var) + ENHANCE_EPS)
 
 
 def _minmax_rescale(values: np.ndarray) -> np.ndarray:
@@ -133,11 +149,22 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
     velocities = velocity_grid(cfg)
     if velocities.size == 0:
         raise ValidationError("empty velocity set")
-    offsets = np.rint(np.outer(velocities, np.arange(cfg.ds))).astype(np.int64)
+    ds = cfg.ds
+    offsets = np.rint(np.outer(velocities, np.arange(ds))).astype(np.int64)
+    # transposed to (n_query, n_ref) so the inner gather walks contiguous rows
     et = np.ascontiguousarray(enhanced.T)
-    raw = _kernels.line_scores(et, int(cfg.ds), offsets)
+    idx = np.arange(n_ref)
+    raw = np.zeros((n_query, n_ref))
+    for j in range(ds - 1, n_query):
+        best = np.full(n_ref, np.inf)
+        for steps in offsets:
+            acc = np.zeros(n_ref)
+            for k in range(ds):
+                acc += et[j - k, np.clip(idx - steps[k], 0, n_ref - 1)]
+            np.minimum(best, acc / ds, out=best)
+        raw[j] = best
     scores = np.zeros_like(raw)
-    scores[cfg.ds - 1:] = _minmax_rescale(-raw[cfg.ds - 1:])
+    scores[ds - 1:] = _minmax_rescale(-raw[ds - 1:])
     return MatchScores.from_scores(scores)
 
 

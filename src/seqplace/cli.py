@@ -22,8 +22,7 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
 THREADS_ENV = "SEQPLACE_THREADS"
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMBA_NUM_THREADS")
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _configure_threads(argv) -> None:
@@ -411,7 +410,7 @@ def cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="seqplace",
                      description="Sequence-based place recognition toolkit")
-    parser.add_argument("--threads", help="thread count for BLAS/numba pools")
+    parser.add_argument("--threads", help="thread count for BLAS pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic traversal",

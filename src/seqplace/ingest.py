@@ -199,12 +199,7 @@ class WindowSet:
     """Consecutive tw-frame samples; sample i covers frames [i, i+tw-1]."""
 
     tw: int
-    samples: tuple  # ((start_index, label), ...)
     count: int
-
-    @property
-    def starts(self) -> np.ndarray:
-        return np.arange(self.count, dtype=np.int64)
 
     @property
     def labels(self) -> np.ndarray:
@@ -223,9 +218,7 @@ def make_windows(n_frames: int, tw: int) -> WindowSet:
         raise ValidationError(
             f"tw must be smaller than the frame count, got tw={tw}, frames={n_frames}"
         )
-    count = n_frames - tw
-    samples = tuple((i, i) for i in range(count))
-    return WindowSet(tw=tw, samples=samples, count=count)
+    return WindowSet(tw=tw, count=n_frames - tw)
 
 
 # --- synthetic traversals ----------------------------------------------------

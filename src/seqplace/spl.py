@@ -388,6 +388,8 @@ def load_checkpoint(path, expected_variant: str | None = None) -> SplModel:
     offset += 16
     pose_sigma = np.frombuffer(blob, dtype="<f8", count=2, offset=offset).copy()
     offset += 16
+    if not (np.isfinite(pose_mu).all() and np.isfinite(pose_sigma).all()):
+        raise FormatError(f"{path}: non-finite pose standardization statistics")
     cfg = ModelConfig(variant=variant, descriptor_dim=int(n), num_places=int(places),
                       tw=int(tw), hidden_size=int(h), pose_weight=float(pose_weight))
     tensors = []
@@ -398,8 +400,10 @@ def load_checkpoint(path, expected_variant: str | None = None) -> SplModel:
             raise FormatError(
                 f"{path}: expected {end} bytes for parameter tensors, file has {len(blob)}"
             )
-        tensors.append(np.frombuffer(blob, dtype="<f4", count=size,
-                                     offset=offset).reshape(shape).copy())
+        tensor = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+        if not np.isfinite(tensor).all():
+            raise FormatError(f"{path}: non-finite entries in parameter tensor {len(tensors)}")
+        tensors.append(tensor.reshape(shape).copy())
         offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} unexpected trailing bytes")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from seqplace.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqplace.ingest import load_descriptors, load_ground_truth, load_poses
+from seqplace.spl import load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -146,6 +148,21 @@ class TestInferAndEval:
         code = run("eval", "--scores", str(scores), "--gt", str(gt),
                    "--radius", "0", "--out", str(tmp_path / "eval"))
         assert code == EXIT_USAGE
+
+    def test_non_finite_checkpoint_rejected(self, synth_dir, trained, tmp_path):
+        clean = load_checkpoint(trained)
+        for name in ("w_out", "pose_sigma"):
+            poisoned = getattr(clean, name).copy()
+            poisoned.flat[0] = np.nan
+            ckpt = tmp_path / f"nan_{name}.splm"
+            save_checkpoint(dataclasses.replace(clean, **{name: poisoned}), ckpt)
+            scores = tmp_path / f"nan_{name}.csv"
+            code = run("infer", "--ckpt", str(ckpt),
+                       "--desc", str(synth_dir / "query_descriptors.spld"),
+                       "--poses", str(synth_dir / "query_poses.csv"),
+                       "--out", str(scores))
+            assert code == EXIT_USAGE
+            assert not scores.exists()
 
 
 class TestMatch:

@@ -143,7 +143,7 @@ class TestMakeWindows:
     def test_five_frames_tw_two(self):
         ws = make_windows(5, 2)
         assert ws.count == 3
-        assert ws.samples == ((0, 0), (1, 1), (2, 2))
+        assert ws.labels.tolist() == [0, 1, 2]
 
     def test_tw_one(self):
         assert make_windows(5, 1).count == 4
@@ -157,8 +157,7 @@ class TestMakeWindows:
             for tw in range(1, n):
                 ws = make_windows(n, tw)
                 assert ws.count == n - tw
-                last_start, _ = ws.samples[-1]
-                assert last_start + tw - 1 == n - 2  # final frame never used
+                assert ws.labels[-1] + tw - 1 == n - 2  # final frame never used
 
 
 class TestSynthTraverse:
