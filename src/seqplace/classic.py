@@ -84,8 +84,13 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
     b = query.data.astype(np.float64)
     if metric == "sad":
         matrix = np.empty((a.shape[0], b.shape[0]))
+        # one reused difference buffer instead of two fresh (n_query, dim)
+        # temporaries per reference row
+        diff = np.empty_like(b)
         for i in range(a.shape[0]):
-            matrix[i] = np.abs(b - a[i]).sum(axis=1)
+            np.subtract(b, a[i], out=diff)
+            np.abs(diff, out=diff)
+            diff.sum(axis=1, out=matrix[i])
     else:
         for name, rows in (("reference", a), ("query", b)):
             norms = np.linalg.norm(rows, axis=1)
@@ -153,15 +158,19 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
     offsets = np.rint(np.outer(velocities, np.arange(ds))).astype(np.int64)
     # transposed to (n_query, n_ref) so the inner gather walks contiguous rows
     et = np.ascontiguousarray(enhanced.T)
-    idx = np.arange(n_ref)
+    # rows[k, v, i]: reference row of step k back along velocity v's line
+    # ending at i; it does not depend on the query, so it is built once
+    rows = np.clip(np.arange(n_ref) - offsets.T[:, :, None], 0, n_ref - 1)
     raw = np.zeros((n_query, n_ref))
+    acc = np.empty((velocities.size, n_ref))
     for j in range(ds - 1, n_query):
+        acc[:] = 0.0
+        for k in range(ds):
+            acc += et[j - k][rows[k]]
+        acc /= ds
         best = np.full(n_ref, np.inf)
-        for steps in offsets:
-            acc = np.zeros(n_ref)
-            for k in range(ds):
-                acc += et[j - k, np.clip(idx - steps[k], 0, n_ref - 1)]
-            np.minimum(best, acc / ds, out=best)
+        for line in acc:
+            np.minimum(best, line, out=best)
         raw[j] = best
     scores = np.zeros_like(raw)
     scores[ds - 1:] = _minmax_rescale(-raw[ds - 1:])

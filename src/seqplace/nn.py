@@ -238,11 +238,13 @@ def linear_backward(dy, x, w):
     return dy.T @ x, dy.sum(axis=0), dy @ w
 
 
-def softmax(logits):
+def softmax(logits, out=None):
+    """Softmax over the last axis, computed in the precision of logits;
+    with out given, the result is written there (cast to its dtype)."""
     logits = np.asarray(logits)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out, dtype=e.dtype)
 
 
 def softmax_cross_entropy(logits, target: int):

@@ -327,8 +327,9 @@ def infer(model: SplModel, descriptors: DescriptorSequence,
                 z2 = spl_in[starts + t] + h_env @ w_hx.T + h_spl @ second.w_h.T
                 h_spl, c_spl = nn.lstm_apply_gates(z2, c_spl)
         h_final = h_spl if dual else h_env
-        logits = h_final @ model.w_out.T + model.b_out
-        scores[starts] = nn.softmax(logits)
+        logits = h_final @ model.w_out.T
+        logits += model.b_out
+        nn.softmax(logits, out=scores[start:start + batch])
     return MatchScores.from_scores(scores)
 
 
