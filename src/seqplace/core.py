@@ -229,11 +229,15 @@ class MatchScores:
         """Build from a score matrix, deriving predicted/confidence.
 
         Takes ownership of the array (it is frozen in place when possible)
-        and skips the redundant invariant re-checks of the constructor.
+        and skips the redundant invariant re-checks of the constructor. A
+        non-finite score is a numerical fault of the producer: NumericsError.
         """
         scores = np.ascontiguousarray(scores, dtype=np.float64)
         if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
             raise ValidationError(f"scores must be 2-d, got shape {np.shape(scores)}")
+        loc = _first_bad(scores)
+        if loc is not None:
+            raise NumericsError(f"non-finite score at query {loc[0]}, place {loc[1]}")
         predicted = scores.argmax(axis=1)
         confidence = scores[np.arange(scores.shape[0]), predicted]
         obj = object.__new__(cls)

@@ -1,6 +1,6 @@
-"""Dense network numerics on numpy: LSTM cell, linear head, softmax
-cross-entropy, Adam, plateau learning-rate scheduling, and a central
-finite-difference gradient checker.
+"""Dense network numerics on numpy: LSTM cell, softmax cross-entropy,
+Adam, plateau learning-rate scheduling, and a central finite-difference
+gradient checker.
 
 Gradients are hand-derived for exactly these layers; there is no general
 autodiff. Training arithmetic is float32, gradient checking float64.
@@ -75,7 +75,6 @@ class LstmParams:
 class StepCache:
     """Activations retained from one forward step for the backward pass."""
 
-    x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
     i: np.ndarray
@@ -86,9 +85,10 @@ class StepCache:
 
 
 def lstm_apply_gates(z, c_prev):
-    """Gate math alone, for callers that precompute the pre-activations z.
+    """Gate math on precomputed pre-activations z, rows ordered i, f, g, o:
+    i=sig, f=sig, g=tanh, o=sig; c=f*c+i*g; h=o*tanh(c).
 
-    Returns (h, c) without a backward cache; z is clipped in place.
+    z is clipped in place. Returns (h, c, (i, f, g, o, tanh(c))).
     """
     h = z.shape[-1] // 4
     np.clip(z, -GATE_CLIP, GATE_CLIP, out=z)
@@ -97,73 +97,23 @@ def lstm_apply_gates(z, c_prev):
     gg = np.tanh(z[:, 2 * h:3 * h])
     go = sigmoid(z[:, 3 * h:])
     c = gf * c_prev + gi * gg
-    return go * np.tanh(c), c
-
-
-def lstm_step_batch(x, h_prev, c_prev, params: LstmParams):
-    """One LSTM step over a batch of rows. Returns (h, c, cache)."""
-    h = params.hidden_size
-    z = x @ params.w_x.T + h_prev @ params.w_h.T + params.b
-    np.clip(z, -GATE_CLIP, GATE_CLIP, out=z)
-    gi = sigmoid(z[:, :h])
-    gf = sigmoid(z[:, h:2 * h])
-    gg = np.tanh(z[:, 2 * h:3 * h])
-    go = sigmoid(z[:, 3 * h:])
-    c = gf * c_prev + gi * gg
     tc = np.tanh(c)
-    h_new = go * tc
-    return h_new, c, StepCache(x=x, h_prev=h_prev, c_prev=c_prev,
-                               i=gi, f=gf, g=gg, o=go, tc=tc)
+    return go * tc, c, (gi, gf, gg, go, tc)
 
 
-def lstm_step(x, h_prev, c_prev, params: LstmParams):
-    """Single-vector LSTM step: i=sig, f=sig, g=tanh, o=sig; c=f*c+i*g; h=o*tanh(c)."""
-    x = np.asarray(x)
-    h_prev = np.asarray(h_prev)
-    c_prev = np.asarray(c_prev)
-    h = params.hidden_size
-    if x.shape != (params.input_dim,):
-        raise ValidationError(
-            f"input has shape {x.shape}, params expect ({params.input_dim},)"
-        )
-    if h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise ValidationError(
-            f"state shapes {h_prev.shape}/{c_prev.shape}, params expect ({h},)"
-        )
-    h_new, c, cache = lstm_step_batch(x[None, :], h_prev[None, :], c_prev[None, :], params)
-    return h_new[0], c[0], cache
+def lstm_step_batch(z, h_prev, c_prev):
+    """One LSTM step over a batch of rows from pre-activations
+    z = x W_x^T + h_prev W_h^T + b. Returns (h, c, cache)."""
+    h_new, c, gates = lstm_apply_gates(z, c_prev)
+    return h_new, c, StepCache(h_prev, c_prev, *gates)
 
 
-def lstm_forward(xs, params: LstmParams, h0=None, c0=None):
-    """Run the cell over a (T, B, D) input sequence from the given states.
+def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams, gw_h):
+    """Backward through one step; accumulates the recurrent-weight gradient
+    into gw_h.
 
-    Returns (hs, caches, (h_T, c_T)) with hs shaped (T, B, H).
-    """
-    xs = np.asarray(xs)
-    squeeze = xs.ndim == 2
-    if squeeze:
-        xs = xs[:, None, :]
-    t_steps, batch, _ = xs.shape
-    h = params.hidden_size
-    dtype = xs.dtype
-    h_t = np.zeros((batch, h), dtype=dtype) if h0 is None else np.atleast_2d(h0)
-    c_t = np.zeros((batch, h), dtype=dtype) if c0 is None else np.atleast_2d(c0)
-    hs = np.empty((t_steps, batch, h), dtype=dtype)
-    caches = []
-    for t in range(t_steps):
-        h_t, c_t, cache = lstm_step_batch(xs[t], h_t, c_t, params)
-        hs[t] = h_t
-        caches.append(cache)
-    if squeeze:
-        return hs[:, 0, :], caches, (h_t[0], c_t[0])
-    return hs, caches, (h_t, c_t)
-
-
-def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams,
-                       gw_x, gw_h, gb):
-    """Backward through one step; accumulates into gw_x/gw_h/gb.
-
-    Returns (dx, dh_prev, dc_prev) for the chain to the previous step.
+    Returns (dz, dh_prev, dc_prev): dz is the pre-activation gradient, from
+    which the caller forms the input-weight and bias gradients.
     """
     dc = dc_in + dh * cache.o * (1.0 - cache.tc * cache.tc)
     do = dh * cache.tc
@@ -176,66 +126,8 @@ def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams,
     dzg = dg * (1.0 - cache.g * cache.g)
     dzo = do * cache.o * (1.0 - cache.o)
     dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
-    gw_x += dz.T @ cache.x
     gw_h += dz.T @ cache.h_prev
-    gb += dz.sum(axis=0)
-    dx = dz @ params.w_x
-    dh_prev = dz @ params.w_h
-    return dx, dh_prev, dc_prev
-
-
-def lstm_backward(grad_h_seq, caches, params: LstmParams):
-    """Exact reverse-mode gradients through a full forward window.
-
-    grad_h_seq holds the loss gradient w.r.t. each step's hidden output,
-    shaped (T, H) or (T, B, H). Returns (param_grads, dx_seq, dh0, dc0).
-    """
-    grad_h_seq = np.asarray(grad_h_seq)
-    squeeze = grad_h_seq.ndim == 2
-    if squeeze:
-        grad_h_seq = grad_h_seq[:, None, :]
-    t_steps = grad_h_seq.shape[0]
-    if len(caches) != t_steps:
-        raise ValidationError(
-            f"{len(caches)} cached steps but gradients for {t_steps} steps"
-        )
-    batch = grad_h_seq.shape[1]
-    dtype = grad_h_seq.dtype
-    gw_x = np.zeros_like(params.w_x, dtype=dtype)
-    gw_h = np.zeros_like(params.w_h, dtype=dtype)
-    gb = np.zeros_like(params.b, dtype=dtype)
-    dx_seq = np.empty((t_steps, batch, params.input_dim), dtype=dtype)
-    dh = np.zeros((batch, params.hidden_size), dtype=dtype)
-    dc = np.zeros((batch, params.hidden_size), dtype=dtype)
-    for t in reversed(range(t_steps)):
-        dh = dh + grad_h_seq[t]
-        dx, dh, dc = lstm_step_backward(dh, dc, caches[t], params, gw_x, gw_h, gb)
-        dx_seq[t] = dx
-    grads = LstmParams(w_x=gw_x, w_h=gw_h, b=gb)
-    if squeeze:
-        return grads, dx_seq[:, 0, :], dh[0], dc[0]
-    return grads, dx_seq, dh, dc
-
-
-def linear_forward(x, w, b):
-    """logits = W x + b, for a single vector or a batch of rows."""
-    x = np.asarray(x)
-    if x.shape[-1] != w.shape[1]:
-        raise ValidationError(
-            f"input dim {x.shape[-1]} does not match weight columns {w.shape[1]}"
-        )
-    if b.shape != (w.shape[0],):
-        raise ValidationError(f"bias shape {b.shape}, expected ({w.shape[0]},)")
-    return x @ w.T + b
-
-
-def linear_backward(dy, x, w):
-    """Gradients of the linear layer: returns (dW, db, dx)."""
-    dy = np.asarray(dy)
-    x = np.asarray(x)
-    if dy.ndim == 1:
-        return np.outer(dy, x), dy.copy(), dy @ w
-    return dy.T @ x, dy.sum(axis=0), dy @ w
+    return dz, dz @ params.w_h, dc_prev
 
 
 def softmax(logits, out=None):
@@ -245,21 +137,6 @@ def softmax(logits, out=None):
     e = logits - logits.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=out, dtype=e.dtype)
-
-
-def softmax_cross_entropy(logits, target: int):
-    """Loss = -log softmax(logits)[target]; grad = softmax - one_hot."""
-    logits = np.asarray(logits)
-    n = logits.shape[0]
-    if not 0 <= target < n:
-        raise ValidationError(f"target {target} out of range for {n} classes")
-    m = logits.max()
-    shifted = logits - m
-    log_z = np.log(np.exp(shifted).sum())
-    loss = float(log_z - shifted[target])
-    grad = np.exp(shifted - log_z)
-    grad[target] -= 1.0
-    return loss, grad
 
 
 def softmax_cross_entropy_batch(logits, targets):
@@ -339,11 +216,12 @@ def plateau_step(state: SchedulerState, epoch_loss: float, factor: float,
                           epochs_since_improvement=count)
 
 
-def grad_check(loss_and_grads, params, eps: float) -> float:
+def grad_check(loss, params, grads, eps: float) -> float:
     """Compare analytic gradients against central finite differences.
 
-    loss_and_grads() must deterministically return (loss, grads) for the
-    current parameter values; params are float64 arrays perturbed in place.
+    loss() must deterministically return the loss for the current parameter
+    values; grads are its analytic gradients at the unperturbed values and
+    params the float64 arrays they belong to, perturbed in place here.
     Returns the worst relative error over every parameter entry.
     """
     if eps <= 0:
@@ -353,23 +231,18 @@ def grad_check(loss_and_grads, params, eps: float) -> float:
             raise ValidationError(
                 f"gradient checking requires float64 parameters (parameter {idx} is {p.dtype})"
             )
-    loss_a, grads_a = loss_and_grads()
-    loss_b, grads_b = loss_and_grads()
-    same = loss_a == loss_b and all(
-        np.array_equal(ga, gb) for ga, gb in zip(grads_a, grads_b)
-    )
-    if not same:
-        raise ValidationError("closure is not deterministic: repeated evaluations differ")
+    if loss() != loss():
+        raise ValidationError("loss is not deterministic: repeated evaluations differ")
     worst = 0.0
-    for p, g in zip(params, grads_a):
+    for p, g in zip(params, grads):
         flat = p.reshape(-1)
         gflat = np.asarray(g).reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + eps
-            loss_plus, _ = loss_and_grads()
+            loss_plus = loss()
             flat[k] = orig - eps
-            loss_minus, _ = loss_and_grads()
+            loss_minus = loss()
             flat[k] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             denom = max(abs(gflat[k]), abs(numeric), 1e-8)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,8 @@ CKPT_MAGIC = b"SPLM"
 CKPT_VERSION = 1
 _VARIANT_TAGS = {"baseline": 0, "spl": 1}
 _TAG_VARIANTS = {v: k for k, v in _VARIANT_TAGS.items()}
+# Windows per inference batch; bounds the (batch, 4H) recurrence temporaries.
+_INFER_CHUNK = 512
 
 
 @dataclass
@@ -95,95 +98,120 @@ def parameter_list(model: SplModel) -> list:
     return params
 
 
-def _forward_batch(model: SplModel, desc: np.ndarray, pose: np.ndarray,
-                   keep_cache: bool = False):
-    """Run tw recurrent steps from zero states for a (B, tw, ...) batch.
+class _Inputs(NamedTuple):
+    """Per-frame terms of both cells that do not depend on the recurrence."""
 
-    pose must already be standardized; the pose weight is applied here.
-    Returns (logits, ctx) where ctx carries everything backward needs.
-    """
+    desc: np.ndarray        # (F, n) descriptors in the model dtype
+    pose_w: np.ndarray      # (F, 2) standardized poses times the pose weight
+    env: np.ndarray         # (F, 4H) env-cell input projection plus bias
+    spl: np.ndarray | None  # (F, 4H) second-cell descriptor projection plus bias
+
+
+def _inputs(model: SplModel, desc: np.ndarray, std_pose: np.ndarray) -> _Inputs:
+    """Project each frame once; overlapping windows share the projections."""
     cfg = model.config
-    dtype = model.dtype
-    batch, tw = desc.shape[0], desc.shape[1]
-    desc_t = np.ascontiguousarray(desc.transpose(1, 0, 2)).astype(dtype, copy=False)
-    pose_w = (pose * cfg.pose_weight).astype(dtype).transpose(1, 0, 2)
-    h_env = np.zeros((batch, cfg.hidden_size), dtype=dtype)
+    n = cfg.descriptor_dim
+    desc = desc.astype(model.dtype, copy=False)
+    pose_w = (std_pose * cfg.pose_weight).astype(model.dtype)
+    env = model.env_lstm
+    env_in = desc @ env.w_x[:, :n].T + pose_w @ env.w_x[:, n:].T + env.b
+    spl_in = None
+    if model.spl_lstm is not None:
+        spl_in = desc @ model.spl_lstm.w_x[:, :n].T + model.spl_lstm.b
+    return _Inputs(desc, pose_w, env_in, spl_in)
+
+
+def _window_frames(starts: np.ndarray, tw: int):
+    """The frames that the windows at starts read, and rows (tw, B) giving
+    the position of frame starts[b] + t among them."""
+    windows = np.arange(tw)[:, None] + starts
+    frames = np.unique(windows)
+    return frames, np.searchsorted(frames, windows)
+
+
+def _step(z, h_prev, c_prev, caches):
+    """One cell step; appends its backward cache to caches unless that is None."""
+    if caches is None:
+        h, c, _ = nn.lstm_apply_gates(z, c_prev)
+    else:
+        h, c, cache = nn.lstm_step_batch(z, h_prev, c_prev)
+        caches.append(cache)
+    return h, c
+
+
+def _forward(model: SplModel, inputs: _Inputs, rows: np.ndarray, keep_cache: bool = False):
+    """Run the recurrence from zero states for a batch of windows: step t
+    of window b reads frame rows[t, b] of inputs.
+
+    Returns (logits, ctx); ctx carries what _backward needs, or is None
+    unless keep_cache is set.
+    """
+    env, second = model.env_lstm, model.spl_lstm
+    dual = second is not None
+    h_env = np.zeros((rows.shape[1], model.config.hidden_size), dtype=model.dtype)
     c_env = np.zeros_like(h_env)
-    env_caches = []
-    spl_caches = []
-    dual = model.spl_lstm is not None
-    h_spl = np.zeros_like(h_env) if dual else None
-    c_spl = np.zeros_like(h_env) if dual else None
-    for t in range(tw):
-        x_env = np.concatenate([desc_t[t], pose_w[t]], axis=1)
-        h_env, c_env, cache = nn.lstm_step_batch(x_env, h_env, c_env, model.env_lstm)
-        if keep_cache:
-            env_caches.append(cache)
+    if dual:
+        h_spl = np.zeros_like(h_env)
+        c_spl = np.zeros_like(h_env)
+        w_hx = np.ascontiguousarray(second.w_x[:, model.config.descriptor_dim:])
+    env_caches, spl_caches = ([], []) if keep_cache else (None, None)
+    for row in rows:
+        h_env, c_env = _step(inputs.env[row] + h_env @ env.w_h.T, h_env, c_env, env_caches)
         if dual:
-            x_spl = np.concatenate([desc_t[t], h_env], axis=1)
-            h_spl, c_spl, cache2 = nn.lstm_step_batch(x_spl, h_spl, c_spl, model.spl_lstm)
-            if keep_cache:
-                spl_caches.append(cache2)
+            z = inputs.spl[row] + h_env @ w_hx.T + h_spl @ second.w_h.T
+            h_spl, c_spl = _step(z, h_spl, c_spl, spl_caches)
     h_final = h_spl if dual else h_env
-    logits = h_final @ model.w_out.T + model.b_out
+    logits = h_final @ model.w_out.T
+    logits += model.b_out
     ctx = None
     if keep_cache:
-        ctx = {"env": env_caches, "spl": spl_caches, "h_final": h_final, "tw": tw}
+        ctx = {"inputs": inputs, "rows": rows, "env": env_caches, "spl": spl_caches,
+               "h_final": h_final}
     return logits, ctx
 
 
-def forward(model: SplModel, desc_window, pose_window) -> np.ndarray:
-    """Logits for one tw-frame window of descriptors and standardized poses."""
-    cfg = model.config
-    desc_window = np.asarray(desc_window)
-    pose_window = np.asarray(pose_window)
-    if desc_window.shape != (cfg.tw, cfg.descriptor_dim):
-        raise ValidationError(
-            f"descriptor window shape {desc_window.shape}, expected "
-            f"({cfg.tw}, {cfg.descriptor_dim})"
-        )
-    if pose_window.shape != (cfg.tw, 2):
-        raise ValidationError(
-            f"pose window shape {pose_window.shape}, expected ({cfg.tw}, 2)"
-        )
-    logits, _ = _forward_batch(model, desc_window[None], pose_window[None])
-    return logits[0]
+def _backward(model: SplModel, ctx, dlogits: np.ndarray) -> list:
+    """Gradients of sum(dlogits * logits) for every parameter, in the
+    canonical order.
 
-
-def _backward_batch(model: SplModel, ctx, dlogits: np.ndarray) -> list:
-    """Gradients for every parameter, in the canonical order."""
-    dtype = model.dtype
-    n = model.config.descriptor_dim
-    tw = ctx["tw"]
+    Each step's pre-activation gradient is added into its frame's row, so
+    each cell's input-weight gradient is one GEMM over frames. The plain
+    fancy-index += is exact because the windows of a batch are distinct:
+    rows[t] never repeats a frame.
+    """
+    inputs, rows = ctx["inputs"], ctx["rows"]
+    env, second = model.env_lstm, model.spl_lstm
+    dual = second is not None
     dw_out = dlogits.T @ ctx["h_final"]
     db_out = dlogits.sum(axis=0)
-    dh_last = dlogits @ model.w_out
-    env = model.env_lstm
-    g_env = [np.zeros_like(env.w_x), np.zeros_like(env.w_h), np.zeros_like(env.b)]
-    if model.spl_lstm is None:
-        dh, dc = dh_last, np.zeros_like(dh_last)
-        for t in reversed(range(tw)):
-            _, dh, dc = nn.lstm_step_backward(dh, dc, ctx["env"][t], env, *g_env)
-        return g_env + [dw_out, db_out]
-    second = model.spl_lstm
-    g_spl = [np.zeros_like(second.w_x), np.zeros_like(second.w_h), np.zeros_like(second.b)]
-    dh_spl, dc_spl = dh_last, np.zeros_like(dh_last)
-    dh_env = np.zeros_like(dh_last)
-    dc_env = np.zeros_like(dh_last)
-    for t in reversed(range(tw)):
-        dx_spl, dh_spl, dc_spl = nn.lstm_step_backward(
-            dh_spl, dc_spl, ctx["spl"][t], second, *g_spl)
-        # the second cell's input is [d_t ; h_env_t]: route its tail gradient
-        # into the env cell's hidden output at the same step
-        dh_env = dh_env + dx_spl[:, n:]
-        _, dh_env, dc_env = nn.lstm_step_backward(
-            dh_env, dc_env, ctx["env"][t], env, *g_env)
-    return g_env + g_spl + [dw_out, db_out]
-
-
-def _window_views(data: np.ndarray, tw: int, count: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(data, tw, axis=0)
-    return view.swapaxes(1, 2)[:count]
+    dh = dlogits @ model.w_out
+    dz_env = np.zeros_like(inputs.env)
+    gw_h_env = np.zeros_like(env.w_h)
+    dh_env, dc_env = dh, np.zeros_like(dh)
+    if dual:
+        w_hx = second.w_x[:, model.config.descriptor_dim:]
+        dz_spl = np.zeros_like(inputs.spl)
+        gw_hx = np.zeros_like(w_hx)
+        gw_h_spl = np.zeros_like(second.w_h)
+        dh_spl, dc_spl = dh, np.zeros_like(dh)
+        dh_env = np.zeros_like(dh)
+    for t in reversed(range(len(rows))):
+        if dual:
+            dz, dh_spl, dc_spl = nn.lstm_step_backward(
+                dh_spl, dc_spl, ctx["spl"][t], second, gw_h_spl)
+            dz_spl[rows[t]] += dz
+            # the second cell reads [d_t ; h_env_t], h_env_t = o * tanh(c_t)
+            # of the env cell: route that part of its input gradient into
+            # the env cell's output at the same step
+            env_t = ctx["env"][t]
+            gw_hx += dz.T @ (env_t.o * env_t.tc)
+            dh_env = dh_env + dz @ w_hx
+        dz, dh_env, dc_env = nn.lstm_step_backward(dh_env, dc_env, ctx["env"][t], env, gw_h_env)
+        dz_env[rows[t]] += dz
+    grads = [dz_env.T @ np.hstack([inputs.desc, inputs.pose_w]), gw_h_env, dz_env.sum(axis=0)]
+    if dual:
+        grads += [np.hstack([dz_spl.T @ inputs.desc, gw_hx]), gw_h_spl, dz_spl.sum(axis=0)]
+    return grads + [dw_out, db_out]
 
 
 def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
@@ -228,8 +256,6 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
         return work, history
 
     count = windows.count
-    desc_view = _window_views(descriptors.data, tw, count)
-    pose_view = _window_views(std_data, tw, count)
     labels = windows.labels
     params = parameter_list(work)
     adam = nn.AdamState.for_params(params)
@@ -243,10 +269,10 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
         hits = 0
         for start in range(0, count, batch_size):
             idx = order[start:start + batch_size]
-            desc_batch = desc_view[idx]
-            pose_batch = pose_view[idx]
             targets = labels[idx]
-            logits, ctx = _forward_batch(work, desc_batch, pose_batch, keep_cache=True)
+            frames, rows = _window_frames(idx, tw)
+            inputs = _inputs(work, descriptors.data[frames], std_data[frames])
+            logits, ctx = _forward(work, inputs, rows, keep_cache=True)
             losses, dlogits = nn.softmax_cross_entropy_batch(
                 logits.astype(np.float64), targets)
             batch_loss = float(losses.mean())
@@ -254,8 +280,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch starting at sample {start}"
                 )
-            grads = _backward_batch(
-                work, ctx, (dlogits / len(idx)).astype(work.dtype))
+            grads = _backward(work, ctx, (dlogits / len(idx)).astype(work.dtype))
             nn.adam_step(params, grads, adam, sched.current_lr)
             loss_sum += float(losses.sum())
             hits += int((logits.argmax(axis=1) == targets).sum())
@@ -269,7 +294,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
 
 
 def infer(model: SplModel, descriptors: DescriptorSequence,
-          poses: PoseSequence, chunk: int = 512) -> MatchScores:
+          poses: PoseSequence) -> MatchScores:
     """Window the query with the training tw and score every window.
 
     Row q of the scores is the softmax over places for the window starting
@@ -297,39 +322,12 @@ def infer(model: SplModel, descriptors: DescriptorSequence,
         std_data = apply_standardization(poses.data, model.pose_mu, model.pose_sigma)
     count = descriptors.n_frames - cfg.tw
     scores = np.empty((count, cfg.num_places), dtype=np.float64)
-
-    # Input projections depend only on the frame, so overlapping windows can
-    # share them: project every frame once, then run only the recurrence per
-    # window.
-    dtype = model.dtype
-    n, h = cfg.descriptor_dim, cfg.hidden_size
-    desc = descriptors.data.astype(dtype, copy=False)
-    pose_w = (std_data * cfg.pose_weight).astype(dtype)
-    env = model.env_lstm
-    env_in = desc @ env.w_x[:, :n].T + pose_w @ env.w_x[:, n:].T + env.b
-    dual = model.spl_lstm is not None
-    if dual:
-        second = model.spl_lstm
-        spl_in = desc @ second.w_x[:, :n].T + second.b
-        w_hx = np.ascontiguousarray(second.w_x[:, n:])
-    for start in range(0, count, chunk):
-        starts = np.arange(start, min(start + chunk, count))
-        batch = starts.shape[0]
-        h_env = np.zeros((batch, h), dtype=dtype)
-        c_env = np.zeros_like(h_env)
-        if dual:
-            h_spl = np.zeros_like(h_env)
-            c_spl = np.zeros_like(h_env)
-        for t in range(cfg.tw):
-            z = env_in[starts + t] + h_env @ env.w_h.T
-            h_env, c_env = nn.lstm_apply_gates(z, c_env)
-            if dual:
-                z2 = spl_in[starts + t] + h_env @ w_hx.T + h_spl @ second.w_h.T
-                h_spl, c_spl = nn.lstm_apply_gates(z2, c_spl)
-        h_final = h_spl if dual else h_env
-        logits = h_final @ model.w_out.T
-        logits += model.b_out
-        nn.softmax(logits, out=scores[start:start + batch])
+    inputs = _inputs(model, descriptors.data, std_data)
+    steps = np.arange(cfg.tw)[:, None]
+    for start in range(0, count, _INFER_CHUNK):
+        starts = np.arange(start, min(start + _INFER_CHUNK, count))
+        logits, _ = _forward(model, inputs, steps + starts)
+        nn.softmax(logits, out=scores[start:start + starts.size])
     return MatchScores.from_scores(scores)
 
 

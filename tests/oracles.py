@@ -66,6 +66,41 @@ def scalar_lstm_grads_1d(x, h0, c0, w_x, w_h, b):
     return d_wx, d_wh, d_b, dx, dh0, dc0
 
 
+# --- output head and loss references ----------------------------------------------
+
+def linear(x, w, b):
+    """Plain-python dense layer: y[r] = b[r] + sum_k w[r][k] * x[k]."""
+    return [b[r] + sum(w[r][k] * x[k] for k in range(len(x))) for r in range(len(b))]
+
+
+def softmax_cross_entropy(logits, target):
+    """Single-sample loss -log softmax(logits)[target] and its logit gradient."""
+    m = max(logits)
+    log_z = m + math.log(sum(math.exp(v - m) for v in logits))
+    grad = [math.exp(v - log_z) for v in logits]
+    grad[target] -= 1.0
+    return log_z - logits[target], grad
+
+
+def spl_window_scores(model, desc, std_pose):
+    """Softmax place scores of one window of a dual-LSTM model: both cells
+    stepped with scalar_lstm_step from zero states, then the dense head."""
+    cfg = model.config
+    hidden = [0.0] * cfg.hidden_size
+    h_env, c_env, h_spl, c_spl = hidden, hidden, hidden, hidden
+    env = [p.tolist() for p in (model.env_lstm.w_x, model.env_lstm.w_h, model.env_lstm.b)]
+    second = [p.tolist() for p in (model.spl_lstm.w_x, model.spl_lstm.w_h, model.spl_lstm.b)]
+    for d, pose in zip(desc, std_pose):
+        d = [float(v) for v in d]
+        x_env = d + [float(v) * cfg.pose_weight for v in pose]
+        h_env, c_env = scalar_lstm_step(x_env, h_env, c_env, *env)
+        h_spl, c_spl = scalar_lstm_step(d + h_env, h_spl, c_spl, *second)
+    logits = linear(h_spl, model.w_out.tolist(), model.b_out.tolist())
+    m = max(logits)
+    e = [math.exp(v - m) for v in logits]
+    return [v / sum(e) for v in e]
+
+
 # --- classic matcher oracles -----------------------------------------------------
 
 def sad_brute(ref, query):

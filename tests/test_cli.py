@@ -164,6 +164,25 @@ class TestInferAndEval:
             assert code == EXIT_USAGE
             assert not scores.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_checkpoint_exits_numeric(self, synth_dir, trained, tmp_path):
+        # every value is finite, so the checkpoint loads, but the place-0
+        # logit overflows and the softmax turns it into NaN
+        clean = load_checkpoint(trained)
+        w_out, b_out = clean.w_out.copy(), clean.b_out.copy()
+        w_out[0, :] = -3.4e38
+        b_out[0] = 3.4e38
+        ckpt = tmp_path / "overflow.splm"
+        save_checkpoint(dataclasses.replace(clean, w_out=w_out, b_out=b_out), ckpt)
+        load_checkpoint(ckpt)
+        scores = tmp_path / "overflow.csv"
+        code = run("infer", "--ckpt", str(ckpt),
+                   "--desc", str(synth_dir / "query_descriptors.spld"),
+                   "--poses", str(synth_dir / "query_poses.csv"),
+                   "--out", str(scores))
+        assert code == EXIT_NUMERIC
+        assert not scores.exists()
+
 
 class TestMatch:
     def test_short_ds_underperforms_long_ds(self, synth_dir, tmp_path):

@@ -5,6 +5,7 @@ from seqplace.core import (
     DescriptorSequence,
     MatchScores,
     ModelConfig,
+    NumericsError,
     PoseSequence,
     PrCurve,
     TrainConfig,
@@ -126,6 +127,13 @@ class TestMatchScores:
         before = MatchScores.from_scores(scores)
         after = MatchScores.from_scores(np.exp(3.0 * scores) + 2.0)
         assert np.array_equal(before.predicted, after.predicted)
+
+    def test_from_scores_rejects_non_finite_with_location(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            scores = np.zeros((3, 4))
+            scores[2, 1] = bad
+            with pytest.raises(NumericsError, match="query 2, place 1"):
+                MatchScores.from_scores(scores)
 
 
 class TestPrCurve:

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adam_scalar_steps, scalar_lstm_grads_1d, scalar_lstm_step
+from oracles import (
+    adam_scalar_steps,
+    linear,
+    scalar_lstm_grads_1d,
+    scalar_lstm_step,
+    softmax_cross_entropy,
+)
 from seqplace import nn
-from seqplace.core import NumericsError, ValidationError, seeded_rng
+from seqplace.core import ModelConfig, NumericsError, ValidationError, seeded_rng
+from seqplace.spl import _backward, _forward, _inputs, build_model
 
 
 def random_params(din, hidden, seed, dtype=np.float64):
@@ -17,12 +24,46 @@ def random_params(din, hidden, seed, dtype=np.float64):
     )
 
 
+def preact(x, h_prev, p):
+    return x @ p.w_x.T + h_prev @ p.w_h.T + p.b
+
+
+def run_cell(xs, p, h0=None, c0=None):
+    """Step the cell over a (T, B, D) sequence; returns (hs, caches)."""
+    shape = (xs.shape[1], p.hidden_size)
+    h = np.zeros(shape) if h0 is None else h0
+    c = np.zeros(shape) if c0 is None else c0
+    hs, caches = [], []
+    for x in xs:
+        h, c, cache = nn.lstm_step_batch(preact(x, h, p), h, c)
+        hs.append(h)
+        caches.append(cache)
+    return hs, caches
+
+
+def cell_grads(xs, caches, grad_h, p):
+    """BPTT through run_cell for per-step hidden-output gradients grad_h:
+    returns (gw_x, gw_h, gb, dxs, dh0, dc0)."""
+    gw_x, gw_h, gb = np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.b)
+    dh = np.zeros_like(grad_h[0])
+    dc = np.zeros_like(dh)
+    dxs = np.zeros_like(xs)
+    for t in reversed(range(len(xs))):
+        dz, dh, dc = nn.lstm_step_backward(dh + grad_h[t], dc, caches[t], p, gw_h)
+        gw_x += dz.T @ xs[t]
+        gb += dz.sum(axis=0)
+        dxs[t] = dz @ p.w_x
+    return gw_x, gw_h, gb, dxs, dh, dc
+
+
 class TestLstmStep:
     def test_zero_parameter_fixed_point(self):
         p = nn.LstmParams(w_x=np.zeros((8, 3)), w_h=np.zeros((8, 2)), b=np.zeros(8))
-        h, c, _ = nn.lstm_step(np.array([5.0, -3.0, 2.0]), np.zeros(2), np.zeros(2), p)
-        assert np.array_equal(h, np.zeros(2))
-        assert np.array_equal(c, np.zeros(2))
+        x = np.array([[5.0, -3.0, 2.0]])
+        h, c, _ = nn.lstm_step_batch(preact(x, np.zeros((1, 2)), p),
+                                     np.zeros((1, 2)), np.zeros((1, 2)))
+        assert np.array_equal(h, np.zeros((1, 2)))
+        assert np.array_equal(c, np.zeros((1, 2)))
 
     def test_saturated_forget_gate_preserves_cell(self):
         hidden = 3
@@ -32,27 +73,30 @@ class TestLstmStep:
         b[3 * hidden:] = -50.0        # output gate shut
         p = nn.LstmParams(w_x=np.zeros((4 * hidden, 2)),
                           w_h=np.zeros((4 * hidden, hidden)), b=b)
-        c_prev = np.array([0.3, -1.2, 0.9])
-        h, c, _ = nn.lstm_step(np.ones(2), np.zeros(hidden), c_prev, p)
+        c_prev = np.array([[0.3, -1.2, 0.9]])
+        h_prev = np.zeros((1, hidden))
+        h, c, _ = nn.lstm_step_batch(preact(np.ones((1, 2)), h_prev, p), h_prev, c_prev)
         assert np.allclose(c, c_prev, atol=1e-9)
         assert np.allclose(h, 0.0, atol=1e-9)
 
     def test_matches_scalar_reference(self):
         p = random_params(3, 2, seed=11)
         rng = seeded_rng(12)
-        x = rng.uniform(-2, 2, 3)
-        h0 = rng.uniform(-1, 1, 2)
-        c0 = rng.uniform(-1, 1, 2)
-        h, c, _ = nn.lstm_step(x, h0, c0, p)
-        h_ref, c_ref = scalar_lstm_step(x.tolist(), h0.tolist(), c0.tolist(),
+        x = rng.uniform(-2, 2, (1, 3))
+        h0 = rng.uniform(-1, 1, (1, 2))
+        c0 = rng.uniform(-1, 1, (1, 2))
+        h, c, cache = nn.lstm_step_batch(preact(x, h0, p), h0, c0)
+        h_ref, c_ref = scalar_lstm_step(x[0].tolist(), h0[0].tolist(), c0[0].tolist(),
                                         p.w_x.tolist(), p.w_h.tolist(), p.b.tolist())
-        assert np.allclose(h, h_ref, atol=1e-12)
-        assert np.allclose(c, c_ref, atol=1e-12)
+        assert np.allclose(h[0], h_ref, atol=1e-12)
+        assert np.allclose(c[0], c_ref, atol=1e-12)
+        # the cache holds the gate values the output was built from
+        assert np.array_equal(h, cache.o * cache.tc)
+        assert np.array_equal(c, cache.f * c0 + cache.i * cache.g)
 
     def test_shape_mismatch_reports_dims(self):
-        p = random_params(3, 2, seed=1)
         with pytest.raises(ValidationError, match="3"):
-            nn.lstm_step(np.zeros(4), np.zeros(2), np.zeros(2), p)
+            nn.LstmParams(w_x=np.zeros((8, 3)), w_h=np.zeros((8, 3)), b=np.zeros(8))
 
 
 class TestLstmBackward:
@@ -60,108 +104,101 @@ class TestLstmBackward:
         rng = seeded_rng(21)
         p = random_params(1, 1, seed=22)
         x, h0, c0 = rng.uniform(-1, 1, 3)
-        xs = np.array([[x]])
-        _, caches, _ = nn.lstm_forward(xs, p, h0=np.array([h0]), c0=np.array([c0]))
-        grads, dx, dh0, dc0 = nn.lstm_backward(np.ones((1, 1)), caches, p)
+        xs = np.array([[[x]]])
+        _, caches = run_cell(xs, p, h0=np.array([[h0]]), c0=np.array([[c0]]))
+        gw_x, gw_h, gb, dx, dh0, dc0 = cell_grads(xs, caches, np.ones((1, 1, 1)), p)
         d_wx, d_wh, d_b, dx_ref, dh0_ref, dc0_ref = scalar_lstm_grads_1d(
             x, h0, c0, p.w_x[:, 0].tolist(), p.w_h[:, 0].tolist(), p.b.tolist())
-        assert np.allclose(grads.w_x[:, 0], d_wx, atol=1e-10)
-        assert np.allclose(grads.w_h[:, 0], d_wh, atol=1e-10)
-        assert np.allclose(grads.b, d_b, atol=1e-10)
-        assert abs(dx[0, 0] - dx_ref) < 1e-10
-        assert abs(dh0[0] - dh0_ref) < 1e-10
-        assert abs(dc0[0] - dc0_ref) < 1e-10
+        assert np.allclose(gw_x[:, 0], d_wx, atol=1e-10)
+        assert np.allclose(gw_h[:, 0], d_wh, atol=1e-10)
+        assert np.allclose(gb, d_b, atol=1e-10)
+        assert abs(dx[0, 0, 0] - dx_ref) < 1e-10
+        assert abs(dh0[0, 0] - dh0_ref) < 1e-10
+        assert abs(dc0[0, 0] - dc0_ref) < 1e-10
 
     def test_constant_loss_gives_zero_grads(self):
         p = random_params(2, 3, seed=31)
-        xs = seeded_rng(32).uniform(-1, 1, (4, 2))
-        _, caches, _ = nn.lstm_forward(xs, p)
-        grads, dx, dh0, dc0 = nn.lstm_backward(np.zeros((4, 3)), caches, p)
-        for g in (grads.w_x, grads.w_h, grads.b, dx, dh0, dc0):
+        xs = seeded_rng(32).uniform(-1, 1, (4, 1, 2))
+        _, caches = run_cell(xs, p)
+        for g in cell_grads(xs, caches, np.zeros((4, 1, 3)), p):
             assert np.count_nonzero(g) == 0
 
     def test_finite_difference_window(self):
         # TW=4, D=8, H=12: loss = sum of squares of the last hidden state
         p = random_params(8, 12, seed=41)
-        xs = seeded_rng(42).uniform(-1, 1, (4, 8))
+        xs = seeded_rng(42).uniform(-1, 1, (4, 1, 8))
         params = [p.w_x, p.w_h, p.b]
 
-        def closure():
-            hs, caches, (h_t, _) = nn.lstm_forward(xs, p)
-            loss = float(0.5 * (h_t ** 2).sum())
-            grad_h = np.zeros_like(hs)
-            grad_h[-1] = h_t
-            grads, _, _, _ = nn.lstm_backward(grad_h, caches, p)
-            return loss, [grads.w_x, grads.w_h, grads.b]
+        def loss():
+            hs, _ = run_cell(xs, p)
+            return float(0.5 * (hs[-1] ** 2).sum())
 
-        assert nn.grad_check(closure, params, eps=1e-5) <= 1e-4
-
-    def test_missing_cache_rejected(self):
-        p = random_params(2, 2, seed=51)
-        xs = np.zeros((3, 2))
-        _, caches, _ = nn.lstm_forward(xs, p)
-        with pytest.raises(ValidationError):
-            nn.lstm_backward(np.zeros((3, 2)), caches[:2], p)
+        hs, caches = run_cell(xs, p)
+        grad_h = np.zeros((4, 1, 12))
+        grad_h[-1] = hs[-1]
+        grads = cell_grads(xs, caches, grad_h, p)[:3]
+        assert nn.grad_check(loss, params, grads, eps=1e-5) <= 1e-4
 
 
 class TestLinear:
+    """The dense output head: the plain-python reference that the model tests
+    use, and the model's own head gradient."""
+
     def test_identity(self):
-        x = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(nn.linear_forward(x, np.eye(3), np.zeros(3)), x)
+        x = [1.5, -2.0, 0.25]
+        assert linear(x, np.eye(3).tolist(), [0.0] * 3) == x
 
     def test_bias_passthrough(self):
-        b = np.array([4.0, -1.0])
-        out = nn.linear_forward(np.zeros(3), np.zeros((2, 3)), b)
-        assert np.array_equal(out, b)
+        b = [4.0, -1.0]
+        assert linear([0.0] * 3, np.zeros((2, 3)).tolist(), b) == b
 
     def test_hand_computed_3x2(self):
-        w = np.array([[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]])
-        x = np.array([4.0, 2.0])
-        b = np.array([1.0, 0.0, -1.0])
+        w = [[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]]
+        x = [4.0, 2.0]
+        b = [1.0, 0.0, -1.0]
         # rows: 2*4 - 1*2 + 1 = 7; 0.5*4 + 3*2 + 0 = 8; 4 + 2 - 1 = 5
-        assert np.array_equal(nn.linear_forward(x, w, b), [7.0, 8.0, 5.0])
+        assert linear(x, w, b) == [7.0, 8.0, 5.0]
 
     def test_backward_matches_finite_differences(self):
-        rng = seeded_rng(61)
-        w = rng.uniform(-1, 1, (4, 3))
-        b = rng.uniform(-1, 1, 4)
-        x = rng.uniform(-1, 1, 3)
-        params = [w, b]
+        # loss = 0.5 * |W h + b|^2 over the model's final hidden state h,
+        # which the head parameters do not affect
+        cfg = ModelConfig(variant="baseline", descriptor_dim=3, num_places=4, tw=2,
+                          hidden_size=3)
+        model = build_model(cfg, seed=61, dtype=np.float64)
+        model.b_out[...] = seeded_rng(62).uniform(-1, 1, 4)
+        desc = seeded_rng(63).uniform(-1, 1, (2, 3))
+        inputs = _inputs(model, desc, np.zeros((2, 2)))
+        logits, ctx = _forward(model, inputs, np.arange(2)[:, None], keep_cache=True)
+        h_final = ctx["h_final"][0].tolist()
 
-        def closure():
-            y = nn.linear_forward(x, w, b)
-            loss = float(0.5 * (y ** 2).sum())
-            dw, db, _ = nn.linear_backward(y, x, w)
-            return loss, [dw, db]
+        def loss():
+            return 0.5 * sum(v * v for v in linear(h_final, model.w_out, model.b_out))
 
-        assert nn.grad_check(closure, params, eps=1e-6) <= 1e-7
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            nn.linear_forward(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+        grads = _backward(model, ctx, logits)[-2:]
+        assert nn.grad_check(loss, [model.w_out, model.b_out], grads, eps=1e-6) <= 1e-7
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = nn.softmax_cross_entropy(np.zeros(4), 1)
-        assert abs(loss - math.log(4)) < 1e-12
+        losses, _ = nn.softmax_cross_entropy_batch(np.zeros((1, 4)), [1])
+        assert abs(losses[0] - math.log(4)) < 1e-12
 
     def test_saturated_correct_class(self):
-        logits = np.zeros(5)
-        logits[2] = 1e6
-        loss, _ = nn.softmax_cross_entropy(logits, 2)
-        assert loss < 1e-9
+        logits = np.zeros((1, 5))
+        logits[0, 2] = 1e6
+        losses, _ = nn.softmax_cross_entropy_batch(logits, [2])
+        assert losses[0] < 1e-9
 
     def test_grad_sums_to_zero(self):
         rng = seeded_rng(71)
         for _ in range(50):
-            logits = rng.uniform(-20, 20, int(rng.integers(2, 30)))
-            _, grad = nn.softmax_cross_entropy(logits, 0)
-            assert abs(grad.sum()) < 1e-6
+            logits = rng.uniform(-20, 20, (3, int(rng.integers(2, 30))))
+            _, grads = nn.softmax_cross_entropy_batch(logits, [0, 1, 0])
+            assert np.abs(grads.sum(axis=1)).max() < 1e-6
 
     def test_target_out_of_range(self):
         with pytest.raises(ValidationError):
-            nn.softmax_cross_entropy(np.zeros(3), 3)
+            nn.softmax_cross_entropy_batch(np.zeros((2, 3)), [0, 3])
 
     def test_batch_matches_single(self):
         rng = seeded_rng(72)
@@ -169,7 +206,7 @@ class TestSoftmaxCrossEntropy:
         targets = rng.integers(0, 9, 6)
         losses, grads = nn.softmax_cross_entropy_batch(logits, targets)
         for row in range(6):
-            loss_1, grad_1 = nn.softmax_cross_entropy(logits[row], int(targets[row]))
+            loss_1, grad_1 = softmax_cross_entropy(logits[row].tolist(), int(targets[row]))
             assert abs(losses[row] - loss_1) < 1e-12
             assert np.allclose(grads[row], grad_1, atol=1e-12)
 
@@ -250,42 +287,51 @@ class TestPlateauScheduler:
 class TestGradCheck:
     def test_zero_eps_rejected(self):
         with pytest.raises(ValidationError):
-            nn.grad_check(lambda: (0.0, []), [], eps=0.0)
+            nn.grad_check(lambda: 0.0, [], [], eps=0.0)
 
     def test_float32_params_rejected(self):
         p = [np.zeros(2, dtype=np.float32)]
         with pytest.raises(ValidationError, match="float64"):
-            nn.grad_check(lambda: (0.0, [np.zeros(2)]), p, eps=1e-5)
+            nn.grad_check(lambda: 0.0, p, [np.zeros(2)], eps=1e-5)
 
     def test_nondeterministic_closure_rejected(self):
         p = [np.zeros(1)]
         counter = {"n": 0}
 
-        def closure():
+        def loss():
             counter["n"] += 1
-            return float(counter["n"]), [np.zeros(1)]
+            return float(counter["n"])
 
         with pytest.raises(ValidationError, match="deterministic"):
-            nn.grad_check(closure, p, eps=1e-5)
+            nn.grad_check(loss, p, [np.zeros(1)], eps=1e-5)
+
+    def test_wrong_gradient_detected(self):
+        w = np.array([0.5, -1.5])
+
+        def loss():
+            return float(0.5 * (w ** 2).sum())
+
+        assert nn.grad_check(loss, [w], [w.copy()], eps=1e-6) <= 1e-8
+        assert nn.grad_check(loss, [w], [2.0 * w], eps=1e-6) >= 0.4
 
     def test_per_layer_gradients_across_seeds(self):
         # every layer's analytic gradient within 1e-4 of central differences
         for seed in range(5):
             p = random_params(3, 4, seed=200 + seed)
-            xs = seeded_rng(300 + seed).uniform(-1, 1, (3, 3))
+            xs = seeded_rng(300 + seed).uniform(-1, 1, (3, 1, 3))
             w = seeded_rng(400 + seed).uniform(-1, 1, (5, 4))
             b = np.zeros(5)
-            target = seed % 5
+            target = [seed % 5]
             params = [p.w_x, p.w_h, p.b, w, b]
 
-            def closure():
-                hs, caches, (h_t, _) = nn.lstm_forward(xs, p)
-                logits = nn.linear_forward(h_t, w, b)
-                loss, dlogits = nn.softmax_cross_entropy(logits, target)
-                dw, db, dh = nn.linear_backward(dlogits, h_t, w)
-                grad_h = np.zeros_like(hs)
-                grad_h[-1] = dh
-                grads, _, _, _ = nn.lstm_backward(grad_h, caches, p)
-                return loss, [grads.w_x, grads.w_h, grads.b, dw, db]
+            def loss():
+                hs, _ = run_cell(xs, p)
+                return float(nn.softmax_cross_entropy_batch(hs[-1] @ w.T + b, target)[0][0])
 
-            assert nn.grad_check(closure, params, eps=1e-5) <= 1e-4
+            hs, caches = run_cell(xs, p)
+            _, dlogits = nn.softmax_cross_entropy_batch(hs[-1] @ w.T + b, target)
+            grad_h = np.zeros((3, 1, 4))
+            grad_h[-1] = dlogits @ w
+            grads = list(cell_grads(xs, caches, grad_h, p)[:3])
+            grads += [dlogits.T @ hs[-1], dlogits.sum(axis=0)]
+            assert nn.grad_check(loss, params, grads, eps=1e-5) <= 1e-4

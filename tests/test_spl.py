@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import linear, scalar_lstm_step, spl_window_scores
 from seqplace import nn
 from seqplace.core import (
     DescriptorSequence,
@@ -13,8 +14,11 @@ from seqplace.core import (
 )
 from seqplace.ingest import apply_standardization, perturb_query, synth_traverse
 from seqplace.spl import (
+    _backward,
+    _forward,
+    _inputs,
+    _window_frames,
     build_model,
-    forward,
     infer,
     load_checkpoint,
     parameter_list,
@@ -26,6 +30,23 @@ from seqplace.spl import (
 def tiny_config(variant="spl", n=8, hidden=12, n_out=16, tw=4):
     return ModelConfig(variant=variant, descriptor_dim=n, num_places=n_out, tw=tw,
                        hidden_size=hidden, pose_weight=500.0)
+
+
+def forward(model, desc, pose):
+    """Logits of one window of descriptors and standardized poses."""
+    _, rows = _window_frames(np.array([0]), len(desc))
+    logits, _ = _forward(model, _inputs(model, np.asarray(desc), np.asarray(pose)), rows)
+    return logits[0]
+
+
+def window_batch(model, desc, pose, starts, targets):
+    """Summed loss of the windows at starts, through the training path, and
+    its gradients in canonical order."""
+    frames, rows = _window_frames(np.asarray(starts), model.config.tw)
+    inputs = _inputs(model, desc[frames], pose[frames])
+    logits, ctx = _forward(model, inputs, rows, keep_cache=True)
+    losses, dlogits = nn.softmax_cross_entropy_batch(logits, targets)
+    return float(losses.sum()), _backward(model, ctx, dlogits)
 
 
 def params_equal(a, b):
@@ -69,13 +90,15 @@ class TestForward:
         pose = rng.standard_normal((1, 2))
         logits = forward(model, desc, pose)
 
-        x_env = np.concatenate([desc[0], (pose * 500.0).astype(np.float32)[0]])
-        h_env, _, _ = nn.lstm_step(x_env, np.zeros(6, np.float32),
-                                   np.zeros(6, np.float32), model.env_lstm)
-        x_spl = np.concatenate([desc[0], h_env])
-        h_spl, _, _ = nn.lstm_step(x_spl.astype(np.float32), np.zeros(6, np.float32),
-                                   np.zeros(6, np.float32), model.spl_lstm)
-        expected = nn.linear_forward(h_spl, model.w_out, model.b_out)
+        zeros = [0.0] * 6
+        x_env = desc[0].tolist() + (pose * 500.0).astype(np.float32)[0].tolist()
+        env, second = model.env_lstm, model.spl_lstm
+        h_env, _ = scalar_lstm_step(x_env, zeros, zeros, env.w_x.tolist(),
+                                    env.w_h.tolist(), env.b.tolist())
+        h_spl, _ = scalar_lstm_step(desc[0].tolist() + h_env, zeros, zeros,
+                                    second.w_x.tolist(), second.w_h.tolist(),
+                                    second.b.tolist())
+        expected = linear(h_spl, model.w_out.tolist(), model.b_out.tolist())
         assert np.allclose(logits, expected, atol=1e-6)
 
     def test_zero_parameters_pass_through_bias(self):
@@ -118,8 +141,9 @@ class TestForward:
 
     def test_window_shape_mismatch(self):
         model = build_model(tiny_config(), seed=0)
-        with pytest.raises(ValidationError):
-            forward(model, np.zeros((3, 8), np.float32), np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="dim"):
+            infer(model, DescriptorSequence(data=np.ones((6, 7))),
+                  PoseSequence(data=np.zeros((6, 2))))
 
 
 def model_qualified_grad_check(variant, seed, n=8, hidden=12, n_out=16, tw=4):
@@ -127,20 +151,16 @@ def model_qualified_grad_check(variant, seed, n=8, hidden=12, n_out=16, tw=4):
                       hidden_size=hidden, pose_weight=500.0)
     model = build_model(cfg, seed, dtype=np.float64)
     rng = seeded_rng(1000 + seed)
-    desc = rng.standard_normal((1, tw, n))
-    pose = rng.standard_normal((1, tw, 2)) * 0.002  # keep gates out of saturation
-    target = seed % n_out
-    params = parameter_list(model)
+    desc = rng.standard_normal((tw, n))
+    pose = rng.standard_normal((tw, 2)) * 0.002  # keep gates out of saturation
+    targets = [seed % n_out]
 
-    from seqplace.spl import _backward_batch, _forward_batch
+    def loss():
+        logits = forward(model, desc, pose)[None]
+        return float(nn.softmax_cross_entropy_batch(logits, targets)[0][0])
 
-    def closure():
-        logits, ctx = _forward_batch(model, desc, pose, keep_cache=True)
-        loss, dlogits = nn.softmax_cross_entropy(logits[0], target)
-        grads = _backward_batch(model, ctx, dlogits[None, :])
-        return loss, grads
-
-    return nn.grad_check(closure, params, eps=1e-5)
+    _, grads = window_batch(model, desc, pose, [0], targets)
+    return nn.grad_check(loss, parameter_list(model), grads, eps=1e-5)
 
 
 class TestGradients:
@@ -148,6 +168,27 @@ class TestGradients:
     def test_full_model_gradcheck_small(self, variant):
         err = model_qualified_grad_check(variant, seed=0, n=4, hidden=5, n_out=6, tw=3)
         assert err <= 1e-4
+
+    @pytest.mark.parametrize("variant", ["baseline", "spl"])
+    def test_batch_gradient_is_sum_of_window_gradients(self, variant):
+        # overlapping windows share frames, so their per-frame gradient rows
+        # must add up rather than overwrite each other
+        model = build_model(tiny_config(variant), seed=5, dtype=np.float64)
+        rng = seeded_rng(6)
+        desc = rng.standard_normal((20, 8))
+        pose = rng.standard_normal((20, 2)) * 0.002
+        for starts in (np.arange(16), np.array([9, 2, 5, 14, 3, 11])):
+            loss, grads = window_batch(model, desc, pose, starts, starts)
+            want_loss = 0.0
+            want = [np.zeros_like(g) for g in grads]
+            for s in starts:
+                loss_1, grads_1 = window_batch(model, desc, pose, [s], [s])
+                want_loss += loss_1
+                for acc, g in zip(want, grads_1):
+                    acc += g
+            assert abs(loss - want_loss) <= 1e-12
+            for got, ref in zip(grads, want):
+                assert np.abs(got - ref).max() <= 1e-12
 
 
 class TestTrain:
@@ -252,18 +293,14 @@ class TestInfer:
         with pytest.raises(ValidationError, match="at least"):
             infer(model, short, poses)
 
-    def test_matches_cached_forward_path(self, trained_small):
+    def test_matches_scalar_reference(self, trained_small):
         env, model, _ = trained_small
-        from seqplace.spl import _forward_batch, _window_views
-
+        tw = model.config.tw
         std = apply_standardization(env.poses.data, model.pose_mu, model.pose_sigma)
-        count = env.descriptors.n_frames - model.config.tw
-        logits, _ = _forward_batch(model, _window_views(env.descriptors.data,
-                                                        model.config.tw, count),
-                                   _window_views(std, model.config.tw, count))
-        want = nn.softmax(logits.astype(np.float64))
-        got = infer(model, env.descriptors, env.poses)
-        assert np.allclose(got.scores, want, atol=1e-6)
+        got = infer(model, env.descriptors, env.poses).scores
+        for q in range(0, got.shape[0], 5):
+            want = spl_window_scores(model, env.descriptors.data[q:q + tw], std[q:q + tw])
+            assert np.allclose(got[q], want, atol=1e-6)
 
 
 class TestCheckpoints:
