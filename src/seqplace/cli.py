@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -63,8 +64,9 @@ class RunManifest:
     finished_at: str = ""
 
     def write(self, out_path) -> None:
-        path = f"{out_path}.manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        from .core import atomic_open
+
+        with atomic_open(f"{out_path}.manifest.json") as fh:
             json.dump(self.__dict__, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -101,7 +103,9 @@ def _finish(manifest: RunManifest, out_path) -> int:
 
 
 def _write_scores_csv(path, match) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    from .core import atomic_open
+
+    with atomic_open(path) as fh:
         fh.write("query,predicted,confidence\n")
         for q in range(match.n_queries):
             fh.write(f"{q},{int(match.predicted[q])},{float(match.confidence[q])!r}\n")
@@ -110,11 +114,11 @@ def _write_scores_csv(path, match) -> None:
 def _load_scores_csv(path):
     import numpy as np
 
-    from .core import FormatError
+    from .core import FormatError, open_text
 
     predicted = []
     confidence = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip().replace(" ", "")
         if header != "query,predicted,confidence":
             raise FormatError(
@@ -128,10 +132,16 @@ def _load_scores_csv(path):
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 columns")
             try:
-                predicted.append(int(parts[1]))
-                confidence.append(float(parts[2]))
+                place, score = int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad numeric value") from exc
+            if not (0 <= place <= np.iinfo(np.int64).max and math.isfinite(score)):
+                raise FormatError(
+                    f"{path}:{lineno}: predicted place must be a non-negative int64 "
+                    "and confidence finite"
+                )
+            predicted.append(place)
+            confidence.append(score)
     if not predicted:
         raise FormatError(f"{path}: no score rows found")
     return np.asarray(predicted, dtype=np.int64), np.asarray(confidence, dtype=np.float64)
@@ -196,7 +206,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .core import (ModelConfig, TrainConfig, ValidationError,
+    from .core import (ModelConfig, TrainConfig, ValidationError, atomic_open,
                        model_config_to_mapping, read_config_file,
                        train_config_from_mapping, train_config_to_mapping,
                        write_config_file)
@@ -239,7 +249,7 @@ def cmd_train(args) -> int:
     model = build_model(model_cfg, args.seed)
     trained, history = train(model, desc, poses, args.tw, train_cfg)
     save_checkpoint(trained, args.out)
-    with open(f"{args.out}.history.csv", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{args.out}.history.csv") as fh:
         fh.write("epoch,loss,accuracy,lr\n")
         for epoch, (loss, acc, lr) in enumerate(
                 zip(history.loss, history.accuracy, history.lr)):

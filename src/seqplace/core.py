@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import os
+import secrets
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -286,6 +290,41 @@ class PrCurve:
                            float(self.max_recall_at_full_precision))
 
 
+# --- files -------------------------------------------------------------------
+
+def open_text(path) -> io.StringIO:
+    """Read a UTF-8 text file for line iteration, with the newline handling
+    of text-mode open; bytes that are not UTF-8 raise FormatError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return io.StringIO(blob.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+@contextmanager
+def atomic_open(path, binary: bool = False):
+    """Open path for writing (UTF-8 text, or bytes) so that it appears whole
+    or not at all.
+
+    The block writes a temporary file in path's directory, which replaces
+    path (os.replace) when the block exits cleanly and is removed when it
+    raises; a previous file at path is then left as it was.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 # --- configuration file format: `key = value` lines, `#` comments ---------
 
 def _format_value(value) -> str:
@@ -297,7 +336,7 @@ def _format_value(value) -> str:
 
 
 def write_config_file(path, values: Mapping[str, object]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for key, value in values.items():
             fh.write(f"{key} = {_format_value(value)}\n")
 
@@ -305,7 +344,7 @@ def write_config_file(path, values: Mapping[str, object]) -> None:
 def read_config_file(path) -> dict:
     """Parse `key = value` lines; `#` starts a comment, blank lines ignored."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

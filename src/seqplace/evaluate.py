@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatchScores, PrCurve, ValidationError
+from .core import MatchScores, PrCurve, ValidationError, atomic_open
 
 TOLERANCE_KINDS = ("frames", "meters")
 
@@ -212,14 +212,14 @@ def bench_latency(matcher, dataset, repetitions: int, n_queries: int,
 # --- plain-text output ---------------------------------------------------------
 
 def write_pr_csv(path, curve: PrCurve) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("threshold,precision,recall\n")
         for thr, precision, recall in curve.points:
             fh.write(f"{thr!r},{precision!r},{recall!r}\n")
 
 
 def write_auc_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("radius,auc\n")
         for radius, value in rows:
             fh.write(f"{float(radius)!r},{float(value)!r}\n")
@@ -240,6 +240,6 @@ def latency_report_json(report: LatencyReport) -> dict:
 
 
 def write_latency_json(path, reports) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump([latency_report_json(r) for r in reports], fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -19,8 +19,13 @@ from .core import (
     FormatError,
     PoseSequence,
     ValidationError,
+    atomic_open,
+    open_text,
     seeded_rng,
 )
+
+# Largest frame index a loader accepts: indices are held as int64.
+_INDEX_MAX = np.iinfo(np.int64).max
 
 DESC_MAGIC = b"SPLD"
 DESC_VERSION = 1
@@ -31,11 +36,11 @@ def save_descriptors(path, desc: DescriptorSequence) -> None:
     path = str(path)
     data = np.ascontiguousarray(desc.data, dtype="<f4")
     if path.endswith(".csv"):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for row in data:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
         return
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(_HEADER.pack(DESC_MAGIC, DESC_VERSION, data.shape[0], data.shape[1]))
         fh.write(data.tobytes())
 
@@ -43,7 +48,7 @@ def save_descriptors(path, desc: DescriptorSequence) -> None:
 def _load_descriptor_csv(path) -> DescriptorSequence:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -62,7 +67,9 @@ def _load_descriptor_csv(path) -> DescriptorSequence:
     if not rows:
         raise FormatError(f"{path}: no descriptor rows found")
     try:
-        return DescriptorSequence(data=np.asarray(rows, dtype=np.float32))
+        with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected below
+            data = np.asarray(rows, dtype=np.float32)
+        return DescriptorSequence(data=data)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -96,7 +103,7 @@ def load_descriptors(path) -> DescriptorSequence:
 
 
 def save_poses(path, poses: PoseSequence) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("frame,x,y\n")
         for idx, (x, y) in enumerate(poses.data):
             fh.write(f"{idx},{float(x)!r},{float(y)!r}\n")
@@ -105,7 +112,7 @@ def save_poses(path, poses: PoseSequence) -> None:
 def load_poses(path) -> PoseSequence:
     rows = []
     last_frame = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip().replace(" ", "")
         if header != "frame,x,y":
             raise FormatError(f"{path}: expected header 'frame,x,y', got {header!r}")
@@ -137,7 +144,7 @@ def load_poses(path) -> PoseSequence:
 
 def save_ground_truth(path, gt_map) -> None:
     gt_map = np.asarray(gt_map, dtype=np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("query,ref\n")
         for q, r in enumerate(gt_map):
             fh.write(f"{q},{r}\n")
@@ -145,7 +152,7 @@ def save_ground_truth(path, gt_map) -> None:
 
 def load_ground_truth(path) -> np.ndarray:
     refs = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip().replace(" ", "")
         if header != "query,ref":
             raise FormatError(f"{path}: expected header 'query,ref', got {header!r}")
@@ -162,6 +169,8 @@ def load_ground_truth(path) -> np.ndarray:
                 raise FormatError(f"{path}:{lineno}: non-integer entry") from exc
             if query != len(refs):
                 raise FormatError(f"{path}:{lineno}: query indices must be 0,1,2,...")
+            if not 0 <= ref <= _INDEX_MAX:
+                raise FormatError(f"{path}:{lineno}: reference index {ref} out of range")
             refs.append(ref)
     if not refs:
         raise FormatError(f"{path}: no ground-truth rows found")

@@ -8,6 +8,7 @@ autodiff. Training arithmetic is float32, gradient checking float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -15,10 +16,38 @@ import numpy as np
 
 from .core import NumericsError, ValidationError
 
-# Pre-activations are clamped before the nonlinearities. sigmoid/tanh are
-# flat to double precision beyond +-60, so the clamp cannot change results
-# at trained scales but prevents exp overflow on extreme inputs.
+# Pre-activations are clamped before the nonlinearities to keep exp from
+# overflowing on extreme inputs. In float32, sigmoid is exactly 1 and tanh
+# exactly +-1 well before +-60, while sigmoid(-60) is about 8.7e-27: a
+# saturated gate is small but normal. Products that carry one or more such
+# gates (h = o * tanh(c), and in the backward pass chain-rule terms like
+# dh * o or di * i * (1 - i)) reach 1e-27...1e-45, the float32 subnormal
+# range below 1.2e-38 that every GEMM and elementwise op handles on a slow
+# path. The clip does not prevent that; flush_tiny, applied to h and to the
+# pre-activation gradient dz where they are made, is what keeps the
+# recurrence off the subnormal range. The cell state c = f * c_prev + i * g
+# is left as it is: with i >= 8.7e-27 it goes subnormal only if |g| < 1e-12
+# or the two terms cancel, and training at pose weight 500 shows neither.
 GATE_CLIP = 60.0
+
+
+def flush_tiny(x):
+    """Zero, in place, the entries of x below sqrt(finfo(x.dtype).tiny) in
+    magnitude and return x.
+
+    Any product of two entries that survive is then normal or exactly zero.
+    The threshold follows the dtype: about 1.1e-19 in float32, 1.5e-154 in
+    float64, where it leaves gradient checks untouched. Multiplying by the
+    keep mask is branch-free; a masked assignment costs several times more
+    when, as in training at pose weight 500, up to a quarter of the entries
+    are flushed.
+    """
+    return np.multiply(x, np.abs(x) >= _flush_threshold(x.dtype), out=x)
+
+
+@functools.lru_cache(maxsize=None)
+def _flush_threshold(dtype) -> float:
+    return math.sqrt(float(np.finfo(dtype).tiny))
 
 
 def sigmoid(z):
@@ -82,11 +111,13 @@ class StepCache:
     g: np.ndarray
     o: np.ndarray
     tc: np.ndarray  # tanh of the new cell state
+    h: np.ndarray   # the step's (flushed) hidden output o * tc
 
 
 def lstm_apply_gates(z, c_prev):
     """Gate math on precomputed pre-activations z, rows ordered i, f, g, o:
-    i=sig, f=sig, g=tanh, o=sig; c=f*c+i*g; h=o*tanh(c).
+    i=sig, f=sig, g=tanh, o=sig; c=f*c+i*g; h=o*tanh(c), flushed
+    (flush_tiny).
 
     z is clipped in place. Returns (h, c, (i, f, g, o, tanh(c))).
     """
@@ -98,22 +129,23 @@ def lstm_apply_gates(z, c_prev):
     go = sigmoid(z[:, 3 * h:])
     c = gf * c_prev + gi * gg
     tc = np.tanh(c)
-    return go * tc, c, (gi, gf, gg, go, tc)
+    return flush_tiny(go * tc), c, (gi, gf, gg, go, tc)
 
 
 def lstm_step_batch(z, h_prev, c_prev):
     """One LSTM step over a batch of rows from pre-activations
     z = x W_x^T + h_prev W_h^T + b. Returns (h, c, cache)."""
     h_new, c, gates = lstm_apply_gates(z, c_prev)
-    return h_new, c, StepCache(h_prev, c_prev, *gates)
+    return h_new, c, StepCache(h_prev, c_prev, *gates, h_new)
 
 
 def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams, gw_h):
     """Backward through one step; accumulates the recurrent-weight gradient
     into gw_h.
 
-    Returns (dz, dh_prev, dc_prev): dz is the pre-activation gradient, from
-    which the caller forms the input-weight and bias gradients.
+    Returns (dz, dh_prev, dc_prev): dz is the pre-activation gradient,
+    flushed (flush_tiny), from which the caller forms the input-weight and
+    bias gradients.
     """
     dc = dc_in + dh * cache.o * (1.0 - cache.tc * cache.tc)
     do = dh * cache.tc
@@ -125,7 +157,7 @@ def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams, gw_h):
     dzf = df * cache.f * (1.0 - cache.f)
     dzg = dg * (1.0 - cache.g * cache.g)
     dzo = do * cache.o * (1.0 - cache.o)
-    dz = np.concatenate([dzi, dzf, dzg, dzo], axis=1)
+    dz = flush_tiny(np.concatenate([dzi, dzf, dzg, dzo], axis=1))
     gw_h += dz.T @ cache.h_prev
     return dz, dz @ params.w_h, dc_prev
 

@@ -12,6 +12,7 @@ second-cell w_x, w_h, b), output weights, output bias.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,6 +29,7 @@ from .core import (
     PoseSequence,
     TrainConfig,
     ValidationError,
+    atomic_open,
     seeded_rng,
 )
 from .ingest import apply_standardization, make_windows, standardize_poses
@@ -200,11 +202,9 @@ def _backward(model: SplModel, ctx, dlogits: np.ndarray) -> list:
             dz, dh_spl, dc_spl = nn.lstm_step_backward(
                 dh_spl, dc_spl, ctx["spl"][t], second, gw_h_spl)
             dz_spl[rows[t]] += dz
-            # the second cell reads [d_t ; h_env_t], h_env_t = o * tanh(c_t)
-            # of the env cell: route that part of its input gradient into
-            # the env cell's output at the same step
-            env_t = ctx["env"][t]
-            gw_hx += dz.T @ (env_t.o * env_t.tc)
+            # the second cell reads [d_t ; h_env_t], the env cell's output at
+            # the same step: route that part of its input gradient there
+            gw_hx += dz.T @ ctx["env"][t].h
             dh_env = dh_env + dz @ w_hx
         dz, dh_env, dc_env = nn.lstm_step_backward(dh_env, dc_env, ctx["env"][t], env, gw_h_env)
         dz_env[rows[t]] += dz
@@ -349,7 +349,7 @@ def save_checkpoint(model: SplModel, path) -> None:
     ]
     for tensor in parameter_list(model):
         parts.append(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(b"".join(parts))
 
 
@@ -389,11 +389,14 @@ def load_checkpoint(path, expected_variant: str | None = None) -> SplModel:
     offset += 16
     if not (np.isfinite(pose_mu).all() and np.isfinite(pose_sigma).all()):
         raise FormatError(f"{path}: non-finite pose standardization statistics")
-    cfg = ModelConfig(variant=variant, descriptor_dim=int(n), num_places=int(places),
-                      tw=int(tw), hidden_size=int(h), pose_weight=float(pose_weight))
+    try:
+        cfg = ModelConfig(variant=variant, descriptor_dim=int(n), num_places=int(places),
+                          tw=int(tw), hidden_size=int(h), pose_weight=float(pose_weight))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     tensors = []
     for shape in _tensor_shapes(cfg):
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         end = offset + 4 * size
         if end > len(blob):
             raise FormatError(

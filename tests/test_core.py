@@ -10,6 +10,7 @@ from seqplace.core import (
     PrCurve,
     TrainConfig,
     ValidationError,
+    atomic_open,
     model_config_from_mapping,
     model_config_to_mapping,
     read_config_file,
@@ -18,6 +19,7 @@ from seqplace.core import (
     train_config_to_mapping,
     write_config_file,
 )
+from seqplace.evaluate import write_auc_csv
 
 
 class TestSeededRng:
@@ -146,6 +148,37 @@ class TestPrCurve:
         with pytest.raises(ValidationError):
             PrCurve(points=((0.9, 1.5, 0.5),), auc=0.5,
                     max_recall_at_full_precision=0.5)
+
+
+class TestAtomicOpen:
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            with atomic_open(target) as fh:
+                fh.write("header\n")
+                raise RuntimeError("killed part-way")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        with atomic_open(target, binary=True) as fh:
+            fh.write(b"complete")
+
+        def rows():
+            yield (1.0, 0.5)
+            raise RuntimeError("killed part-way")
+
+        with pytest.raises(RuntimeError):
+            write_auc_csv(target, rows())
+        assert target.read_bytes() == b"complete"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_permissions_match_plain_open(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("x")
+        with atomic_open(tmp_path / "atomic") as fh:
+            fh.write("x")
+        assert (tmp_path / "atomic").stat().st_mode == plain.stat().st_mode
 
 
 class TestConfigFileRoundTrip:

@@ -99,6 +99,26 @@ class TestLstmStep:
             nn.LstmParams(w_x=np.zeros((8, 3)), w_h=np.zeros((8, 3)), b=np.zeros(8))
 
 
+class TestFlushTiny:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_threshold_is_sqrt_tiny_of_the_dtype(self, dtype):
+        cut = np.sqrt(np.finfo(dtype).tiny)
+        x = np.array([cut, -cut, np.nextafter(cut, 0), -np.nextafter(cut, 0), 0.0, 1.0,
+                      np.finfo(dtype).tiny, np.nan], dtype=dtype)
+        out = nn.flush_tiny(x)
+        assert out is x
+        assert np.array_equal(x[:2], [cut, -cut])
+        assert np.array_equal(x[2:7], [0, 0, 0, 1, 0])
+        assert np.isnan(x[7])
+
+    def test_kept_products_are_normal_or_zero(self):
+        rng = seeded_rng(4)
+        x = (rng.uniform(-1, 1, 1000) * 10.0 ** rng.uniform(-30, 0, 1000)).astype(np.float32)
+        nn.flush_tiny(x)
+        products = np.abs(np.multiply.outer(x, x[::-1]))
+        assert not ((products > 0) & (products < np.finfo(np.float32).tiny)).any()
+
+
 class TestLstmBackward:
     def test_single_step_scalar_symbolic(self):
         rng = seeded_rng(21)

@@ -244,6 +244,43 @@ class TestTrain:
             accs.append(history.accuracy[-1])
         assert abs(accs[0] - accs[1]) <= 0.02
 
+    def test_saturated_training_stays_off_subnormals(self, monkeypatch):
+        # pose weight 500 saturates the gates; products of saturated gates
+        # must be flushed before they reach the float32 subnormal range
+        env = synth_traverse(60, 8, seed=3, smoothness=0.6)
+        cfg = ModelConfig.for_traversal(60, 4, variant="spl", descriptor_dim=8,
+                                        hidden_size=12, pose_weight=500.0)
+        tiny = np.finfo(np.float32).tiny
+        seen = {"subnormal": set(), "min_gate": 1.0}
+
+        def check(name, values):
+            magnitude = np.abs(values)
+            if ((magnitude > 0) & (magnitude < tiny)).any():
+                seen["subnormal"].add(name)
+
+        step, backward = nn.lstm_step_batch, nn.lstm_step_backward
+
+        def checked_step(*args):
+            h, c, cache = step(*args)
+            for name in ("i", "f", "g", "o", "tc"):
+                check(name, getattr(cache, name))
+            check("h", h)
+            check("c", c)
+            seen["min_gate"] = min(seen["min_gate"], float(cache.i.min()), float(cache.o.min()))
+            return h, c, cache
+
+        def checked_backward(*args):
+            dz, dh_prev, dc_prev = backward(*args)
+            check("dz", dz)
+            return dz, dh_prev, dc_prev
+
+        monkeypatch.setattr(nn, "lstm_step_batch", checked_step)
+        monkeypatch.setattr(nn, "lstm_step_backward", checked_backward)
+        train(build_model(cfg, seed=1), env.descriptors, env.poses, 4,
+              TrainConfig(initial_lr=8e-3, epochs=5, seed=1))
+        assert seen["min_gate"] < 1e-20, "gates did not saturate; the check is vacuous"
+        assert seen["subnormal"] == set()
+
     def test_history_lr_non_increasing(self):
         env = synth_traverse(40, 8, seed=41)
         cfg = ModelConfig.for_traversal(40, 4, variant="spl", descriptor_dim=8,
