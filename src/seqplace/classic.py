@@ -211,4 +211,4 @@ def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:
     out[w:n - w + 1] = delta
     out[:w] = delta[0]
     out[n - w + 1:] = delta[-1]
-    return DescriptorSequence(data=out.astype(np.float32), frame_ids=desc.frame_ids)
+    return DescriptorSequence(data=out.astype(np.float32))

@@ -10,13 +10,13 @@ seed, and wall-clock bounds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,13 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
+@dataclasses.dataclass
 class RunManifest:
     """Reproducibility record written next to each command's main output."""
 
     command: str
     parameters: dict
-    inputs: dict = field(default_factory=dict)
+    inputs: dict = dataclasses.field(default_factory=dict)
     seed: int | None = None
     toolkit_version: str = ""
     started_at: str = ""
@@ -170,13 +170,17 @@ def _parse_radii(args):
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            return list(range(int(lo), int(hi) + 1))
+            radii = list(range(int(lo), int(hi) + 1))
         except ValueError:
             raise ValidationError(f"bad --radius-sweep range {text!r}")
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ValidationError(f"bad --radius-sweep value {text!r}")
+    else:
+        try:
+            radii = [float(tok) for tok in text.split(",") if tok]
+        except ValueError:
+            raise ValidationError(f"bad --radius-sweep value {text!r}")
+    if not radii:
+        raise ValidationError(f"--radius-sweep {text!r} gives no radius")
+    return radii
 
 
 # --- commands -------------------------------------------------------------------
@@ -207,46 +211,32 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     from .core import (ModelConfig, TrainConfig, ValidationError, atomic_open,
-                       model_config_to_mapping, read_config_file,
-                       train_config_from_mapping, train_config_to_mapping,
-                       write_config_file)
+                       read_config_file, train_config_from_mapping, write_config_file)
     from .ingest import load_descriptors, load_poses
     from .spl import build_model, save_checkpoint, train
 
     desc = load_descriptors(args.desc)
     poses = load_poses(args.poses)
-    if desc.n_frames != poses.n_frames:
-        raise ValidationError(
-            f"{desc.n_frames} descriptor frames but {poses.n_frames} pose frames"
-        )
     base = train_config_from_mapping(read_config_file(args.config)) if args.config \
         else TrainConfig()
-    if args.batch == "all":
-        batch_size = "all"
-    else:
+    batch_size = args.batch
+    if batch_size not in (None, "all"):
         try:
-            batch_size = int(args.batch)
+            batch_size = int(batch_size)
         except ValueError:
             raise ValidationError(f'--batch must be an integer or "all", got {args.batch!r}')
-    train_cfg = TrainConfig(
-        initial_lr=args.lr if args.lr is not None else base.initial_lr,
-        min_lr=args.min_lr if args.min_lr is not None else base.min_lr,
-        weight_decay=base.weight_decay,
-        epochs=args.epochs if args.epochs is not None else base.epochs,
-        batch_size=batch_size,
-        seed=args.seed,
-        scheduler_factor=base.scheduler_factor,
-        scheduler_patience=base.scheduler_patience,
-        shuffle=args.shuffle,
-    )
+    # a flag overrides the config file, which overrides the TrainConfig default
+    flags = {"initial_lr": args.lr, "min_lr": args.min_lr, "epochs": args.epochs,
+             "batch_size": batch_size, "seed": args.seed, "shuffle": args.shuffle}
+    train_cfg = dataclasses.replace(
+        base, **{key: value for key, value in flags.items() if value is not None})
     model_cfg = ModelConfig.for_traversal(
         desc.n_frames, args.tw, variant=args.variant, descriptor_dim=desc.dim,
         hidden_size=args.hidden, pose_weight=args.pos_weight,
     )
-    params = {"model": model_config_to_mapping(model_cfg),
-              "train": train_config_to_mapping(train_cfg)}
-    manifest = _start_manifest("train", params, [args.desc, args.poses], args.seed)
-    model = build_model(model_cfg, args.seed)
+    params = {"model": dataclasses.asdict(model_cfg), "train": dataclasses.asdict(train_cfg)}
+    manifest = _start_manifest("train", params, [args.desc, args.poses], train_cfg.seed)
+    model = build_model(model_cfg, train_cfg.seed)
     trained, history = train(model, desc, poses, args.tw, train_cfg)
     save_checkpoint(trained, args.out)
     with atomic_open(f"{args.out}.history.csv") as fh:
@@ -254,24 +244,17 @@ def cmd_train(args) -> int:
         for epoch, (loss, acc, lr) in enumerate(
                 zip(history.loss, history.accuracy, history.lr)):
             fh.write(f"{epoch},{loss!r},{acc!r},{lr!r}\n")
-    config_out = dict(params["model"])
-    config_out.update(params["train"])
-    write_config_file(f"{args.out}.config", config_out)
+    write_config_file(f"{args.out}.config", {**params["model"], **params["train"]})
     return _finish(manifest, args.out)
 
 
 def cmd_infer(args) -> int:
-    from .core import ValidationError
     from .ingest import load_descriptors, load_poses
     from .spl import infer, load_checkpoint
 
     model = load_checkpoint(args.ckpt)
     desc = load_descriptors(args.desc)
     poses = load_poses(args.poses)
-    if desc.n_frames != poses.n_frames:
-        raise ValidationError(
-            f"{desc.n_frames} descriptor frames but {poses.n_frames} pose frames"
-        )
     manifest = _start_manifest(
         "infer", {"ckpt": args.ckpt}, [args.ckpt, args.desc, args.poses], None)
     scores = infer(model, desc, poses)
@@ -332,11 +315,12 @@ def cmd_eval(args) -> int:
         ref_poses = load_poses(args.ref_poses).data
         inputs.append(args.ref_poses)
     radii = _parse_radii(args)
+    gts = [GroundTruth(map=gt_map, tolerance_kind=kind, radius=float(radius))
+           for radius in radii]
     params = {"kind": kind, "radii": radii}
     manifest = _start_manifest("eval", params, inputs, None)
     rows = []
-    for radius in radii:
-        gt = GroundTruth(map=gt_map, tolerance_kind=kind, radius=float(radius))
+    for radius, gt in zip(radii, gts):
         curve = pr_curve_from_arrays(predicted, confidence, gt, ref_poses=ref_poses)
         rows.append((float(radius), curve.auc))
         if len(radii) <= 5:
@@ -447,10 +431,12 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--min-lr", type=float, default=None)
     p.add_argument("--pos-weight", type=float, default=500.0)
-    p.add_argument("--batch", default="all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--config", default=None, help="key = value config file")
+    p.add_argument("--batch", default=None, help='minibatch size or "all" (the default)')
+    p.add_argument("--seed", type=int, default=None, help="default 0")
+    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=None,
+                   help="shuffle windows each epoch (the default)")
+    p.add_argument("--config", default=None,
+                   help="key = value config file; flags override its values")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 

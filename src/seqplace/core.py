@@ -6,7 +6,7 @@ import io
 import os
 import secrets
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -55,7 +55,6 @@ class DescriptorSequence:
     """Per-frame global image descriptors, one row per frame."""
 
     data: np.ndarray
-    frame_ids: np.ndarray | None = None
 
     def __post_init__(self):
         data = _owned(self.data, np.float32)
@@ -68,20 +67,7 @@ class DescriptorSequence:
             raise ValidationError(
                 f"non-finite descriptor value at frame {loc[0]}, dim {loc[1]}"
             )
-        if self.frame_ids is None:
-            ids = _owned(np.arange(data.shape[0]), np.int64)
-        else:
-            ids = _owned(self.frame_ids, np.int64)
-            if ids.shape != (data.shape[0],):
-                raise ValidationError(
-                    f"frame_ids length {ids.shape} does not match {data.shape[0]} frames"
-                )
-            if (ids < 0).any():
-                raise ValidationError("frame_ids must be non-negative")
-            if data.shape[0] > 1 and not (np.diff(ids) > 0).all():
-                raise ValidationError("frame_ids must be strictly increasing")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "frame_ids", ids)
 
     @property
     def n_frames(self) -> int:
@@ -97,7 +83,6 @@ class PoseSequence:
     """2-d positional encoding per frame (meters or degrees, as provided)."""
 
     data: np.ndarray
-    standardized: bool = False
 
     def __post_init__(self):
         data = _owned(self.data, np.float64)
@@ -166,7 +151,6 @@ class TrainConfig:
 
     initial_lr: float = 1e-3
     min_lr: float = 1e-6
-    weight_decay: float = 0.0
     epochs: int = 200
     batch_size: int | str = "all"
     seed: int = 0
@@ -197,46 +181,25 @@ class TrainConfig:
                 )
         elif self.batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be non-negative")
 
 
 @dataclass(frozen=True)
 class MatchScores:
-    """Per-query likelihood scores against every candidate place."""
+    """Per-query likelihood scores against every candidate place.
 
-    scores: np.ndarray       # (n_queries, n_places)
-    predicted: np.ndarray    # (n_queries,) argmax place per query
-    confidence: np.ndarray   # (n_queries,) score of the predicted place
+    Takes ownership of the score matrix (no copy when it is already
+    C-contiguous float64; frozen in place when it owns its data) and derives
+    predicted, the lowest-index argmax of each row, and confidence, the
+    score there. A non-finite score is a numerical fault of the producer:
+    NumericsError.
+    """
+
+    scores: np.ndarray                          # (n_queries, n_places)
+    predicted: np.ndarray = field(init=False)   # (n_queries,)
+    confidence: np.ndarray = field(init=False)  # (n_queries,)
 
     def __post_init__(self):
-        scores = _owned(self.scores, np.float64)
-        if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
-            raise ValidationError(f"scores must be 2-d, got shape {np.shape(self.scores)}")
-        if _first_bad(scores) is not None:
-            raise ValidationError("scores contain non-finite values")
-        predicted = _owned(self.predicted, np.int64)
-        confidence = _owned(self.confidence, np.float64)
-        if predicted.shape != (scores.shape[0],) or confidence.shape != (scores.shape[0],):
-            raise ValidationError("predicted/confidence must have one entry per query")
-        expected = scores.argmax(axis=1)
-        if not np.array_equal(predicted, expected):
-            raise ValidationError("predicted must be the lowest-index argmax of each row")
-        if not np.array_equal(confidence, scores[np.arange(scores.shape[0]), predicted]):
-            raise ValidationError("confidence must equal the score of the predicted place")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "confidence", confidence)
-
-    @classmethod
-    def from_scores(cls, scores) -> "MatchScores":
-        """Build from a score matrix, deriving predicted/confidence.
-
-        Takes ownership of the array (it is frozen in place when possible)
-        and skips the redundant invariant re-checks of the constructor. A
-        non-finite score is a numerical fault of the producer: NumericsError.
-        """
-        scores = np.ascontiguousarray(scores, dtype=np.float64)
+        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
         if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
             raise ValidationError(f"scores must be 2-d, got shape {np.shape(scores)}")
         loc = _first_bad(scores)
@@ -244,13 +207,16 @@ class MatchScores:
             raise NumericsError(f"non-finite score at query {loc[0]}, place {loc[1]}")
         predicted = scores.argmax(axis=1)
         confidence = scores[np.arange(scores.shape[0]), predicted]
-        obj = object.__new__(cls)
         for name, arr in (("scores", scores), ("predicted", predicted),
                           ("confidence", confidence)):
             if arr.flags.owndata:
                 arr.flags.writeable = False
-            object.__setattr__(obj, name, arr)
-        return obj
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_scores(cls, scores) -> "MatchScores":
+        """The constructor under the name every producer calls."""
+        return cls(scores)
 
     @property
     def n_queries(self) -> int:
@@ -379,31 +345,12 @@ def _as_bool(raw, key):
     raise ValidationError(f"config key {key!r} must be true or false")
 
 
-def model_config_to_mapping(cfg: ModelConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(ModelConfig)}
-
-
-def model_config_from_mapping(raw: Mapping[str, str]) -> ModelConfig:
-    kwargs = {
-        "variant": str(raw["variant"]),
-        "descriptor_dim": _as_int(raw, "descriptor_dim"),
-        "num_places": _as_int(raw, "num_places"),
-        "tw": _as_int(raw, "tw"),
-    }
-    if "hidden_size" in raw:
-        kwargs["hidden_size"] = _as_int(raw, "hidden_size")
-    if "pose_weight" in raw:
-        kwargs["pose_weight"] = _as_float(raw, "pose_weight")
-    return ModelConfig(**kwargs)
-
-
-def train_config_to_mapping(cfg: TrainConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)}
-
-
 def train_config_from_mapping(raw: Mapping[str, str]) -> TrainConfig:
+    # weight decay is fixed at 0; older .config files still record the key
+    if "weight_decay" in raw and _as_float(raw, "weight_decay") != 0.0:
+        raise ValidationError("weight_decay is fixed at 0; remove the key or set it to 0")
     kwargs = {}
-    for key in ("initial_lr", "min_lr", "weight_decay", "scheduler_factor"):
+    for key in ("initial_lr", "min_lr", "scheduler_factor"):
         if key in raw:
             kwargs[key] = _as_float(raw, key)
     for key in ("epochs", "seed", "scheduler_patience"):

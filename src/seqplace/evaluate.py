@@ -37,8 +37,8 @@ class GroundTruth:
             raise ValidationError(
                 f"tolerance_kind must be one of {TOLERANCE_KINDS}, got {self.tolerance_kind!r}"
             )
-        if self.radius < 0:
-            raise ValidationError("radius must be non-negative")
+        if not (np.isfinite(self.radius) and self.radius >= 0):
+            raise ValidationError(f"radius must be finite and non-negative, got {self.radius}")
         gt.flags.writeable = False
         object.__setattr__(self, "map", gt)
 
@@ -152,14 +152,6 @@ def _max_recall_points(points) -> float:
         if precision == 1.0 and recall > best:
             best = recall
     return best
-
-
-def auc(curve: PrCurve) -> float:
-    return _auc_points(curve.points)
-
-
-def max_recall_at_full_precision(curve: PrCurve) -> float:
-    return _max_recall_points(curve.points)
 
 
 def auc_vs_tolerance(scores: MatchScores, gt_map, radii, kind: str = "frames",

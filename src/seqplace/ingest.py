@@ -1,6 +1,6 @@
 """Data ingestion and synthesis: descriptor/pose file formats, pose
-standardization, temporal-window sample sets, and desk-scale synthetic
-traversals with speed-warped query variants.
+standardization, and desk-scale synthetic traversals with speed-warped
+query variants.
 
 Descriptor binary format: magic "SPLD", then little-endian uint32
 version (=1), N, n, then N*n float32 values row-major. Files ending in
@@ -190,7 +190,7 @@ def standardize_poses(poses: PoseSequence):
     mu = poses.data.mean(axis=0)
     sigma = poses.data.std(axis=0)
     out = apply_standardization(poses.data, mu, sigma)
-    return PoseSequence(data=out, standardized=True), mu, sigma
+    return PoseSequence(data=out), mu, sigma
 
 
 def apply_standardization(data, mu, sigma) -> np.ndarray:
@@ -201,35 +201,6 @@ def apply_standardization(data, mu, sigma) -> np.ndarray:
     return out
 
 
-# --- temporal windows --------------------------------------------------------
-
-@dataclass(frozen=True)
-class WindowSet:
-    """Consecutive tw-frame samples; sample i covers frames [i, i+tw-1]."""
-
-    tw: int
-    count: int
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.arange(self.count, dtype=np.int64)
-
-
-def make_windows(n_frames: int, tw: int) -> WindowSet:
-    """Split N frames into exactly N - tw overlapping samples.
-
-    The last sample ends at frame N-2: the final frame is intentionally
-    left out, mirroring the window enumeration this tool reproduces.
-    """
-    if tw < 1:
-        raise ValidationError(f"tw must be at least 1, got {tw}")
-    if tw >= n_frames:
-        raise ValidationError(
-            f"tw must be smaller than the frame count, got tw={tw}, frames={n_frames}"
-        )
-    return WindowSet(tw=tw, count=n_frames - tw)
-
-
 # --- synthetic traversals ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -238,10 +209,6 @@ class SyntheticEnv:
 
     descriptors: DescriptorSequence
     poses: PoseSequence
-    seed: int
-    smoothness: float
-    noise_sigma: float = 0.0
-    speed_profile: tuple = (1.0,)
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -279,8 +246,6 @@ def synth_traverse(n_frames: int, dim: int, seed: int,
     return SyntheticEnv(
         descriptors=DescriptorSequence(data=desc.astype(np.float32)),
         poses=PoseSequence(data=pos),
-        seed=seed,
-        smoothness=smoothness,
     )
 
 
@@ -290,6 +255,8 @@ def _warp_positions(n_ref: int, speed_warp) -> np.ndarray:
         speeds = np.asarray([1.0])
     else:
         speeds = np.atleast_1d(np.asarray(speed_warp, dtype=np.float64))
+    if speeds.size == 0:
+        raise ValidationError("speed warp needs at least one speed")
     if (speeds <= 0.0).any():
         raise ValidationError("speed warp values must be positive")
     positions = []
@@ -339,9 +306,5 @@ def perturb_query(env: SyntheticEnv, noise_sigma: float, speed_warp, seed: int,
     query = SyntheticEnv(
         descriptors=DescriptorSequence(data=desc.astype(np.float32)),
         poses=PoseSequence(data=pose),
-        seed=seed,
-        smoothness=env.smoothness,
-        noise_sigma=noise_sigma,
-        speed_profile=tuple(np.atleast_1d(speed_warp if speed_warp is not None else 1.0)),
     )
     return query, gt

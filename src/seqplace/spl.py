@@ -32,7 +32,7 @@ from .core import (
     atomic_open,
     seeded_rng,
 )
-from .ingest import apply_standardization, make_windows, standardize_poses
+from .ingest import apply_standardization, standardize_poses
 
 CKPT_MAGIC = b"SPLM"
 CKPT_VERSION = 1
@@ -231,16 +231,9 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
         raise ValidationError(
             f"{descriptors.n_frames} descriptor frames vs {poses.n_frames} pose frames"
         )
-    if config.weight_decay != 0.0:
-        raise ValidationError("weight decay is fixed at 0 for this optimizer")
     cfg.check_total_frames(descriptors.n_frames)
-    windows = make_windows(descriptors.n_frames, tw)
-
-    if poses.standardized:
-        std_data, mu, sigma = poses.data, np.zeros(2), np.ones(2)
-    else:
-        standardized, mu, sigma = standardize_poses(poses)
-        std_data = standardized.data
+    standardized, mu, sigma = standardize_poses(poses)
+    std_data = standardized.data
 
     work = SplModel(
         config=cfg,
@@ -255,8 +248,10 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
     if config.epochs == 0:
         return work, history
 
-    count = windows.count
-    labels = windows.labels
+    # window i covers frames i .. i+tw-1 and is labelled place i; the N - tw
+    # windows end at frame N-2, so the final frame is left out, mirroring the
+    # window enumeration of the reproduced method
+    count = cfg.num_places
     params = parameter_list(work)
     adam = nn.AdamState.for_params(params)
     sched = nn.SchedulerState(current_lr=config.initial_lr)
@@ -269,12 +264,11 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
         hits = 0
         for start in range(0, count, batch_size):
             idx = order[start:start + batch_size]
-            targets = labels[idx]
             frames, rows = _window_frames(idx, tw)
             inputs = _inputs(work, descriptors.data[frames], std_data[frames])
             logits, ctx = _forward(work, inputs, rows, keep_cache=True)
             losses, dlogits = nn.softmax_cross_entropy_batch(
-                logits.astype(np.float64), targets)
+                logits.astype(np.float64), idx)
             batch_loss = float(losses.mean())
             if not np.isfinite(batch_loss):
                 raise NumericsError(
@@ -283,7 +277,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
             grads = _backward(work, ctx, (dlogits / len(idx)).astype(work.dtype))
             nn.adam_step(params, grads, adam, sched.current_lr)
             loss_sum += float(losses.sum())
-            hits += int((logits.argmax(axis=1) == targets).sum())
+            hits += int((logits.argmax(axis=1) == idx).sum())
         epoch_loss = loss_sum / count
         history.loss.append(epoch_loss)
         history.accuracy.append(hits / count)
@@ -316,10 +310,7 @@ def infer(model: SplModel, descriptors: DescriptorSequence,
             f"query has {descriptors.n_frames} frames; windowing with tw={cfg.tw} "
             f"needs at least {cfg.tw + 1}"
         )
-    if poses.standardized:
-        std_data = poses.data
-    else:
-        std_data = apply_standardization(poses.data, model.pose_mu, model.pose_sigma)
+    std_data = apply_standardization(poses.data, model.pose_mu, model.pose_sigma)
     count = descriptors.n_frames - cfg.tw
     scores = np.empty((count, cfg.num_places), dtype=np.float64)
     inputs = _inputs(model, descriptors.data, std_data)

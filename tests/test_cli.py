@@ -53,6 +53,13 @@ class TestSynth:
             run("synth", "--dim", "8", "--out", str(tmp_path))
         assert err.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("warp", ["", ","])
+    def test_empty_warp_rejected(self, tmp_path, warp):
+        out = tmp_path / "out"
+        code = run("synth", "--frames", "30", "--dim", "8", "--warp", warp, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     def test_repeat_run_bit_identical(self, tmp_path, synth_dir):
         again = tmp_path / "again"
         code = run("synth", "--frames", "120", "--dim", "32", "--seed", "7",
@@ -92,6 +99,25 @@ class TestTrain:
                    "--seed", "1", "--out", str(ckpt2))
         assert code == EXIT_OK
         assert ckpt2.read_bytes() == trained.read_bytes()
+
+    def test_config_file_matches_equivalent_flags(self, synth_dir, tmp_path):
+        data = ["--desc", str(synth_dir / "ref_descriptors.spld"),
+                "--poses", str(synth_dir / "ref_poses.csv"),
+                "--tw", "5", "--hidden", "16", "--lr", "0.004"]
+        config = tmp_path / "train.cfg"
+        # weight_decay = 0.0 as older .config files record it; --lr overrides the file
+        config.write_text("epochs = 3\nseed = 5\nbatch_size = 7\nshuffle = false\n"
+                          "weight_decay = 0.0\ninitial_lr = 0.5\n")
+        by_flags, by_file = tmp_path / "flags.splm", tmp_path / "file.splm"
+        assert run("train", *data, "--epochs", "3", "--seed", "5", "--batch", "7",
+                   "--no-shuffle", "--out", str(by_flags)) == EXIT_OK
+        assert run("train", *data, "--config", str(config), "--out", str(by_file)) == EXIT_OK
+        for suffix in ("", ".history.csv", ".config"):
+            assert (tmp_path / f"file.splm{suffix}").read_bytes() == \
+                (tmp_path / f"flags.splm{suffix}").read_bytes()
+        recorded = (tmp_path / "file.splm.config").read_text().splitlines()
+        assert {"seed = 5", "batch_size = 7", "shuffle = false",
+                "initial_lr = 0.004"} <= set(recorded)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exploding_lr_exits_numeric(self, synth_dir, tmp_path):
@@ -148,6 +174,34 @@ class TestInferAndEval:
         code = run("eval", "--scores", str(scores), "--gt", str(gt),
                    "--radius", "0", "--out", str(tmp_path / "eval"))
         assert code == EXIT_USAGE
+
+    def test_frame_count_mismatch_writes_nothing(self, synth_dir, trained, tmp_path):
+        short_poses = tmp_path / "short_poses.csv"
+        rows = (synth_dir / "ref_poses.csv").read_text().splitlines()
+        short_poses.write_text("\n".join(rows[:101]) + "\n")
+        desc = str(synth_dir / "ref_descriptors.spld")
+        code = run("train", "--desc", desc, "--poses", str(short_poses), "--tw", "5",
+                   "--hidden", "8", "--epochs", "1", "--out", str(tmp_path / "x.splm"))
+        assert code == EXIT_USAGE
+        code = run("infer", "--ckpt", str(trained), "--desc", desc,
+                   "--poses", str(short_poses), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short_poses.csv"]
+
+    @pytest.mark.parametrize("radii", [["--radius-sweep", "5..1"], ["--radius-sweep", ","],
+                                       ["--radius", "nan"], ["--radius", "inf"],
+                                       ["--radius", "-1"], ["--radius-sweep", "2,nan"]],
+                             ids=["empty-range", "empty-list", "nan", "inf", "negative",
+                                  "nan-in-sweep"])
+    def test_bad_radii_write_nothing(self, tmp_path, radii):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("query,predicted,confidence\n0,0,0.9\n1,1,0.8\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("query,ref\n0,0\n1,1\n")
+        code = run("eval", "--scores", str(scores), "--gt", str(gt), *radii,
+                   "--out", str(tmp_path / "eval"))
+        assert code == EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "scores.csv"]
 
     def test_non_finite_checkpoint_rejected(self, synth_dir, trained, tmp_path):
         clean = load_checkpoint(trained)

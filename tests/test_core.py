@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,9 @@ from seqplace.core import (
     TrainConfig,
     ValidationError,
     atomic_open,
-    model_config_from_mapping,
-    model_config_to_mapping,
     read_config_file,
     seeded_rng,
     train_config_from_mapping,
-    train_config_to_mapping,
     write_config_file,
 )
 from seqplace.evaluate import write_auc_csv
@@ -45,16 +44,11 @@ class TestDescriptorSequence:
     def test_basic(self):
         d = DescriptorSequence(data=[[1.0, 2.0], [3.0, 4.0]])
         assert d.n_frames == 2 and d.dim == 2
-        assert np.array_equal(d.frame_ids, [0, 1])
         assert not d.data.flags.writeable
 
     def test_nan_rejected_with_location(self):
         with pytest.raises(ValidationError, match="frame 1, dim 0"):
             DescriptorSequence(data=[[1.0, 2.0], [np.nan, 4.0]])
-
-    def test_frame_ids_strictly_increasing(self):
-        with pytest.raises(ValidationError, match="strictly increasing"):
-            DescriptorSequence(data=[[1.0], [2.0]], frame_ids=[3, 3])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -68,7 +62,7 @@ class TestPoseSequence:
 
     def test_ok(self):
         p = PoseSequence(data=np.zeros((4, 2)))
-        assert p.n_frames == 4 and not p.standardized
+        assert p.n_frames == 4
 
 
 class TestModelConfig:
@@ -118,10 +112,23 @@ class TestMatchScores:
         assert m.confidence.tolist() == [0.5, 0.9]
 
     def test_invariants_enforced_on_direct_construction(self):
-        scores = np.array([[0.1, 0.9]])
-        with pytest.raises(ValidationError):
-            MatchScores(scores=scores, predicted=np.array([0]),
-                        confidence=np.array([0.1]))
+        scores = np.array([[0.1, 0.9], [0.7, 0.2]])
+        m = MatchScores(scores)
+        assert m.predicted.tolist() == [1, 0]
+        assert m.confidence.tolist() == [0.9, 0.7]
+        with pytest.raises(TypeError):
+            MatchScores(scores=scores, predicted=np.array([0, 0]),
+                        confidence=np.array([0.1, 0.7]))
+        with pytest.raises(ValidationError, match="2-d"):
+            MatchScores(np.array([0.1, 0.9]))
+        with pytest.raises(NumericsError, match="query 0, place 1"):
+            MatchScores(np.array([[0.1, np.nan]]))
+
+    def test_takes_ownership_without_copy(self):
+        scores = seeded_rng(0).random((4, 3))
+        m = MatchScores.from_scores(scores)
+        assert m.scores is scores
+        assert not scores.flags.writeable
 
     def test_monotone_transform_keeps_predictions(self):
         rng = seeded_rng(5)
@@ -183,11 +190,14 @@ class TestAtomicOpen:
 
 class TestConfigFileRoundTrip:
     def test_model_config(self, tmp_path):
+        # the model keys a checkpoint's .config records, as the file spells them
         cfg = ModelConfig(variant="baseline", descriptor_dim=4096, num_places=3567,
                           tw=10, hidden_size=512, pose_weight=500.0)
         path = tmp_path / "model.cfg"
-        write_config_file(path, model_config_to_mapping(cfg))
-        assert model_config_from_mapping(read_config_file(path)) == cfg
+        write_config_file(path, dataclasses.asdict(cfg))
+        assert read_config_file(path) == {
+            "variant": "baseline", "descriptor_dim": "4096", "num_places": "3567",
+            "tw": "10", "hidden_size": "512", "pose_weight": "500.0"}
 
     def test_train_config_awkward_floats(self, tmp_path):
         cfg = TrainConfig(initial_lr=0.0012345678901234567, min_lr=1e-6,
@@ -195,7 +205,7 @@ class TestConfigFileRoundTrip:
                           scheduler_factor=1.0 / 3.0, scheduler_patience=11,
                           shuffle=False)
         path = tmp_path / "train.cfg"
-        write_config_file(path, train_config_to_mapping(cfg))
+        write_config_file(path, dataclasses.asdict(cfg))
         assert train_config_from_mapping(read_config_file(path)) == cfg
 
     def test_random_round_trips(self, tmp_path):
@@ -212,12 +222,23 @@ class TestConfigFileRoundTrip:
                 shuffle=bool(rng.random() < 0.5),
             )
             path = tmp_path / f"cfg{trial}"
-            write_config_file(path, train_config_to_mapping(cfg))
+            write_config_file(path, dataclasses.asdict(cfg))
             assert train_config_from_mapping(read_config_file(path)) == cfg
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("# header\n\ntw = 10  # customary default\nvariant = spl\n"
-                        "descriptor_dim = 8\nnum_places = 20\n")
-        cfg = model_config_from_mapping(read_config_file(path))
-        assert cfg.tw == 10 and cfg.variant == "spl"
+        path.write_text("# header\n\nepochs = 10  # customary default\nshuffle = false\n"
+                        "variant = spl\n")
+        cfg = train_config_from_mapping(read_config_file(path))
+        assert cfg.epochs == 10 and cfg.shuffle is False
+
+    def test_nonzero_weight_decay_rejected(self, tmp_path):
+        # weight decay is fixed at 0: .config files that record it as 0 load
+        path = tmp_path / "c.cfg"
+        for value in ("0", "0.0", "-0.0"):
+            path.write_text(f"epochs = 3\nweight_decay = {value}\n")
+            assert train_config_from_mapping(read_config_file(path)) == TrainConfig(epochs=3)
+        for value in ("0.1", "1e-300", "nan", "none"):
+            path.write_text(f"weight_decay = {value}\n")
+            with pytest.raises(ValidationError, match="weight_decay"):
+                train_config_from_mapping(read_config_file(path))

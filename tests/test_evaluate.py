@@ -6,10 +6,8 @@ from seqplace.core import MatchScores, ValidationError, seeded_rng
 from seqplace.evaluate import (
     GroundTruth,
     LatencyReport,
-    auc,
     auc_vs_tolerance,
     bench_latency,
-    max_recall_at_full_precision,
     pr_curve,
     pr_curve_from_arrays,
 )
@@ -116,23 +114,30 @@ class TestPrCurve:
         with pytest.raises(ValidationError, match="poses"):
             pr_curve(m, GroundTruth(map=[0], tolerance_kind="meters", radius=1.0))
 
+    @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
+    def test_radius_must_be_finite_and_non_negative(self, radius):
+        with pytest.raises(ValidationError, match="radius"):
+            GroundTruth(map=[0], radius=radius)
+
 
 class TestAuc:
     def test_constant_full_precision(self):
         curve = pr_curve(scores_from([0, 1], [0.9, 0.8]),
                          GroundTruth(map=[0, 1], radius=0))
-        assert auc(curve) == 1.0
+        assert curve.auc == 1.0
 
     def test_triangle(self):
-        from seqplace.core import PrCurve
-        curve = PrCurve(points=((0.9, 1.0, 0.0), (0.1, 0.0, 1.0)), auc=0.5,
-                        max_recall_at_full_precision=0.0)
-        assert auc(curve) == pytest.approx(0.5)
+        # points (0.9, 0, 0) and (0.8, 0.5, 0.5): one trapezoid from the
+        # (0, 0) anchor, area 0.5 * (0 + 0.5) / 2
+        curve = pr_curve(scores_from([5, 1], [0.9, 0.8], n_places=6),
+                         GroundTruth(map=[0, 1], radius=0))
+        assert curve.points == ((0.9, 0.0, 0.0), (0.8, 0.5, 0.5))
+        assert curve.auc == pytest.approx(0.125)
 
     def test_max_recall_zero_when_first_retrieval_wrong(self):
         m = scores_from([5, 1, 2], [0.9, 0.8, 0.7], n_places=6)
         curve = pr_curve(m, GroundTruth(map=[0, 1, 2], radius=0))
-        assert max_recall_at_full_precision(curve) == 0.0
+        assert curve.max_recall_at_full_precision == 0.0
 
 
 class TestAucVsTolerance:

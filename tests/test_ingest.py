@@ -7,7 +7,6 @@ from seqplace.ingest import (
     load_descriptors,
     load_ground_truth,
     load_poses,
-    make_windows,
     perturb_query,
     save_descriptors,
     save_ground_truth,
@@ -110,7 +109,6 @@ class TestStandardization:
         assert np.allclose(mu, [1.0, 1.0])
         assert np.allclose(sigma, [1.0, 1.0])  # population std
         assert np.allclose(std.data, [[-1.0, -1.0], [1.0, 1.0]])
-        assert std.standardized
 
     def test_constant_column_maps_to_zero(self):
         poses = PoseSequence(data=np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
@@ -137,27 +135,6 @@ class TestStandardization:
         out = apply_standardization(np.array([[2.0, 8.0]]), np.array([1.0, 2.0]),
                                     np.array([2.0, 0.0]))
         assert np.allclose(out, [[0.5, 0.0]])
-
-
-class TestMakeWindows:
-    def test_five_frames_tw_two(self):
-        ws = make_windows(5, 2)
-        assert ws.count == 3
-        assert ws.labels.tolist() == [0, 1, 2]
-
-    def test_tw_one(self):
-        assert make_windows(5, 1).count == 4
-
-    def test_tw_equal_frames_rejected(self):
-        with pytest.raises(ValidationError):
-            make_windows(3, 3)
-
-    def test_count_property_over_ranges(self):
-        for n in range(2, 40):
-            for tw in range(1, n):
-                ws = make_windows(n, tw)
-                assert ws.count == n - tw
-                assert ws.labels[-1] + tw - 1 == n - 2  # final frame never used
 
 
 class TestSynthTraverse:

@@ -210,14 +210,34 @@ class TestTrain:
         with pytest.raises(ValidationError, match="output layer"):
             train(model, env.descriptors, env.poses, 4, TrainConfig(epochs=1))
 
-    def test_nonzero_weight_decay_rejected(self):
-        env = synth_traverse(30, 8, seed=1)
-        cfg = ModelConfig.for_traversal(30, 4, variant="spl", descriptor_dim=8,
+    @pytest.mark.parametrize("tw", [1, 2, 5])
+    def test_windows_cover_all_but_the_last_frame(self, tw, monkeypatch):
+        # N - tw windows labelled 0..N-tw-1; the last one ends at frame N-2
+        n_frames = 12
+        env = synth_traverse(n_frames, 8, seed=1)
+        cfg = ModelConfig.for_traversal(n_frames, tw, variant="spl", descriptor_dim=8,
                                         hidden_size=8)
+        assert cfg.num_places == n_frames - tw
+        targets = []
+        loss = nn.softmax_cross_entropy_batch
+
+        def recording(logits, batch_targets):
+            targets.extend(np.asarray(batch_targets).tolist())
+            return loss(logits, batch_targets)
+
+        monkeypatch.setattr(nn, "softmax_cross_entropy_batch", recording)
+        config = TrainConfig(epochs=2, batch_size=3, seed=4)
         model = build_model(cfg, seed=2)
-        with pytest.raises(ValidationError, match="weight decay"):
-            train(model, env.descriptors, env.poses, 4,
-                  TrainConfig(epochs=1, weight_decay=0.1))
+        trained, _ = train(model, env.descriptors, env.poses, tw, config)
+        assert sorted(targets) == sorted(2 * list(range(n_frames - tw)))
+
+        def train_with_frame_changed(frame):
+            data = env.descriptors.data.copy()
+            data[frame] = -data[frame]
+            return train(model, DescriptorSequence(data=data), env.poses, tw, config)[0]
+
+        assert params_equal(train_with_frame_changed(n_frames - 1), trained)
+        assert not params_equal(train_with_frame_changed(n_frames - 2), trained)
 
     def test_loss_halves_within_fifty_epochs(self):
         # minibatches take several optimizer steps per epoch; full-batch
