@@ -12,6 +12,9 @@ from .core import DescriptorSequence, MatchScores, ValidationError
 
 METRICS = ("sad", "cosine")
 ENHANCE_EPS = 1e-9
+# working-set budget of one query block in the SAD and line-search loops,
+# sized to stay in a core's L2 cache
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -22,7 +25,7 @@ class SimilarityMatrix:
     metric: str
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.float64, order="C")
+        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValidationError(f"similarity matrix must be 2-d, got {matrix.shape}")
         if not np.isfinite(matrix).all():
@@ -31,16 +34,9 @@ class SimilarityMatrix:
             raise ValidationError("distances must be non-negative")
         if self.metric not in METRICS:
             raise ValidationError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        matrix.flags.writeable = False
+        if matrix.flags.owndata:
+            matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def n_ref(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_query(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -83,14 +79,19 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
     a = ref.data.astype(np.float64)
     b = query.data.astype(np.float64)
     if metric == "sad":
-        matrix = np.empty((a.shape[0], b.shape[0]))
-        # one reused difference buffer instead of two fresh (n_query, dim)
-        # temporaries per reference row
-        diff = np.empty_like(b)
-        for i in range(a.shape[0]):
-            np.subtract(b, a[i], out=diff)
-            np.abs(diff, out=diff)
-            diff.sum(axis=1, out=matrix[i])
+        n_query = b.shape[0]
+        matrix = np.empty((a.shape[0], n_query))
+        # a query block's difference buffer stays in cache while every
+        # reference row streams past it
+        block = max(1, BLOCK_BYTES // (8 * b.shape[1]))
+        diff = np.empty((min(block, n_query), b.shape[1]))
+        for j0 in range(0, n_query, block):
+            j1 = min(j0 + block, n_query)
+            d = diff[:j1 - j0]
+            for i in range(a.shape[0]):
+                np.subtract(b[j0:j1], a[i], out=d)
+                np.abs(d, out=d)
+                d.sum(axis=1, out=matrix[i, j0:j1])
     else:
         for name, rows in (("reference", a), ("query", b)):
             norms = np.linalg.norm(rows, axis=1)
@@ -141,9 +142,11 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
 
     For query j and candidate endpoint i the raw score is the best (lowest)
     mean of the enhanced entries along the back-projected line
-    (i - round(v*k), j - k), k = 0..ds-1, over the velocity grid. Scores are
-    negated and min-max rescaled to [0, 1]; queries with fewer than ds
-    frames of history get all-zero rows (the lowest confidence).
+    (max(i - round(v*k), 0), j - k), k = 0..ds-1, over the velocity grid.
+    Each mean is summed over k in order starting from 0.0 and then divided
+    by ds; the minimum is taken over v in grid order. Scores are negated and
+    min-max rescaled to [0, 1]; queries with fewer than ds frames of history
+    get all-zero rows (the lowest confidence).
     """
     enhanced = np.asarray(enhanced, dtype=np.float64)
     n_ref, n_query = enhanced.shape
@@ -151,27 +154,32 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
         raise ValidationError(
             f"matrix {n_ref}x{n_query} too small for ds={cfg.ds}; both sides must exceed ds"
         )
-    velocities = velocity_grid(cfg)
-    if velocities.size == 0:
-        raise ValidationError("empty velocity set")
     ds = cfg.ds
-    offsets = np.rint(np.outer(velocities, np.arange(ds))).astype(np.int64)
-    # transposed to (n_query, n_ref) so the inner gather walks contiguous rows
-    et = np.ascontiguousarray(enhanced.T)
-    # rows[k, v, i]: reference row of step k back along velocity v's line
-    # ending at i; it does not depend on the query, so it is built once
-    rows = np.clip(np.arange(n_ref) - offsets.T[:, :, None], 0, n_ref - 1)
+    # capped at n_ref: any larger offset also reads row 0 for every endpoint
+    offsets = np.rint(np.outer(velocity_grid(cfg), np.arange(ds)))
+    offsets = np.minimum(offsets, n_ref).astype(np.int64)
+    pad = int(offsets.max())
+    # etp[j] is query j's column left-padded with pad copies of its row-0
+    # entry, so step k of velocity v's lines ending at i = 0..n_ref-1 is the
+    # contiguous slice etp[j - k, pad - offset : pad - offset + n_ref]
+    etp = np.empty((n_query, pad + n_ref))
+    etp[:, :pad] = enhanced[0][:, None]
+    etp[:, pad:] = enhanced.T
+    starts = pad - offsets
     raw = np.zeros((n_query, n_ref))
-    acc = np.empty((velocities.size, n_ref))
-    for j in range(ds - 1, n_query):
-        acc[:] = 0.0
-        for k in range(ds):
-            acc += et[j - k][rows[k]]
-        acc /= ds
-        best = np.full(n_ref, np.inf)
-        for line in acc:
-            np.minimum(best, line, out=best)
-        raw[j] = best
+    raw[ds - 1:] = np.inf
+    block = max(1, BLOCK_BYTES // (8 * n_ref))
+    acc = np.empty((block, n_ref))
+    for j0 in range(ds - 1, n_query, block):
+        j1 = min(j0 + block, n_query)
+        lines = acc[:j1 - j0]
+        best = raw[j0:j1]
+        for line_starts in starts:
+            lines[:] = 0.0
+            for k, s in enumerate(line_starts):
+                lines += etp[j0 - k:j1 - k, s:s + n_ref]
+            lines /= ds
+            np.minimum(best, lines, out=best)
     scores = np.zeros_like(raw)
     scores[ds - 1:] = _minmax_rescale(-raw[ds - 1:])
     return MatchScores.from_scores(scores)

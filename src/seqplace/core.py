@@ -6,7 +6,7 @@ import io
 import os
 import secrets
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -322,43 +322,29 @@ def read_config_file(path) -> dict:
     return raw
 
 
-def _as_int(raw, key):
-    try:
-        return int(raw[key])
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"config key {key!r} must be an integer") from exc
-
-
-def _as_float(raw, key):
-    try:
-        return float(raw[key])
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"config key {key!r} must be a number") from exc
-
-
-def _as_bool(raw, key):
-    value = str(raw[key]).lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"config key {key!r} must be true or false")
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# how a .config value is read, for every key train writes there: TrainConfig's,
+# the model keys (recorded, not read by training) and weight_decay, which
+# older files record and which is fixed at 0
+_CONFIG_KEYS = {
+    "initial_lr": float, "min_lr": float, "scheduler_factor": float,
+    "epochs": int, "seed": int, "scheduler_patience": int,
+    "batch_size": lambda text: text if text == "all" else int(text),
+    "shuffle": lambda text: _BOOLS[text.lower()],
+    "weight_decay": float, **{f.name: str for f in fields(ModelConfig)},
+}
 
 
 def train_config_from_mapping(raw: Mapping[str, str]) -> TrainConfig:
-    # weight decay is fixed at 0; older .config files still record the key
-    if "weight_decay" in raw and _as_float(raw, "weight_decay") != 0.0:
+    values = {}
+    for key, text in raw.items():
+        if key not in _CONFIG_KEYS:
+            raise ValidationError(f"unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](str(text))
+        except (ValueError, KeyError) as exc:
+            raise ValidationError(f"config key {key!r} has a bad value {text!r}") from exc
+    if values.pop("weight_decay", 0.0) != 0.0:
         raise ValidationError("weight_decay is fixed at 0; remove the key or set it to 0")
-    kwargs = {}
-    for key in ("initial_lr", "min_lr", "scheduler_factor"):
-        if key in raw:
-            kwargs[key] = _as_float(raw, key)
-    for key in ("epochs", "seed", "scheduler_patience"):
-        if key in raw:
-            kwargs[key] = _as_int(raw, key)
-    if "batch_size" in raw:
-        value = str(raw["batch_size"])
-        kwargs["batch_size"] = "all" if value == "all" else _as_int(raw, "batch_size")
-    if "shuffle" in raw:
-        kwargs["shuffle"] = _as_bool(raw, "shuffle")
-    return TrainConfig(**kwargs)
+    return TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)
+                          if f.name in values})

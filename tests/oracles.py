@@ -111,6 +111,23 @@ def sad_brute(ref, query):
     return out
 
 
+def sad_rowloop(ref, query):
+    """SAD one reference row at a time against all queries at once.
+
+    Each distance is numpy's float64 sum over a row of |query - ref|, so,
+    unlike sad_brute, this is the exact reference for the library's
+    query-blocked loop."""
+    ref = np.asarray(ref, dtype=np.float64)
+    query = np.asarray(query, dtype=np.float64)
+    out = np.empty((ref.shape[0], query.shape[0]))
+    diff = np.empty_like(query)
+    for i in range(ref.shape[0]):
+        np.subtract(query, ref[i], out=diff)
+        np.abs(diff, out=diff)
+        diff.sum(axis=1, out=out[i])
+    return out
+
+
 def enhance_brute(d, r_window):
     d = np.asarray(d, dtype=np.float64)
     n_rows, n_cols = d.shape

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import delta_brute, enhance_brute, sad_brute, seqslam_scores_brute
+from oracles import delta_brute, enhance_brute, sad_brute, sad_rowloop, seqslam_scores_brute
+from seqplace import classic
 from seqplace.classic import (
+    SimilarityMatrix,
     SeqSlamConfig,
     contrast_enhance,
     delta_descriptors,
@@ -47,6 +49,25 @@ class TestSimilarityMatrix:
         d = similarity_matrix(ref, query, metric="sad").matrix
         assert np.allclose(d, sad_brute(ref.data.astype(np.float64),
                                         query.data.astype(np.float64)), atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [8, 32, 1024])
+    def test_blocked_sad_equals_row_loop(self, dim):
+        # query counts around the block size: one short block, one full
+        # block, and full blocks followed by a partial one
+        rng = seeded_rng(14)
+        block = classic.BLOCK_BYTES // (8 * dim)
+        ref = DescriptorSequence(data=rng.standard_normal((5, dim)).astype(np.float32))
+        for n_query in (block // 2 + 1, block, 2 * block + block // 2 + 1):
+            query = DescriptorSequence(
+                data=rng.standard_normal((n_query, dim)).astype(np.float32))
+            d = similarity_matrix(ref, query, metric="sad").matrix
+            assert np.array_equal(d, sad_rowloop(ref.data, query.data))
+
+    def test_takes_ownership_without_copy(self):
+        d = seeded_rng(15).random((4, 3))
+        m = SimilarityMatrix(matrix=d, metric="sad")
+        assert m.matrix is d
+        assert not d.flags.writeable
 
     def test_transpose_symmetry(self):
         rng = seeded_rng(3)
@@ -144,6 +165,29 @@ class TestSeqSlamMatch:
             n_ref = int(rng.integers(ds + 1, 11))
             n_query = int(rng.integers(ds + 1, 11))
             cfg = SeqSlamConfig(ds=ds, v_min=0.6, v_max=1.4, v_step=0.2, r_window=3)
+            enhanced = rng.standard_normal((n_ref, n_query))
+            got = seqslam_match(enhanced, cfg)
+            want = seqslam_scores_brute(enhanced, ds, velocity_grid(cfg).tolist())
+            assert np.array_equal(got.scores, want)
+
+    @pytest.mark.parametrize("block_queries", [1, 7, 16, None])
+    def test_matches_exhaustive_enumeration_across_blocks(self, monkeypatch,
+                                                          block_queries):
+        # more queries than one block holds and never a whole number of
+        # blocks; offsets that repeat (v < 1) and offsets past the map
+        # (v >= 3); None keeps the library's own block budget
+        cases = [  # ds, n_ref, n_query, v_min, v_max, v_step
+            (4, 36, 81, 0.2, 0.9, 0.35),
+            (4, 29, 74, 0.5, 1.5, 0.25),
+            (3, 14, 47, 3.0, 12.0, 4.5),
+            (5, 60, 90, 2.5, 3.5, 0.5),
+            (1, 20, 35, 0.8, 1.2, 0.1),
+        ]
+        rng = seeded_rng(16)
+        for ds, n_ref, n_query, v_min, v_max, v_step in cases:
+            if block_queries is not None:
+                monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * n_ref * block_queries)
+            cfg = SeqSlamConfig(ds=ds, v_min=v_min, v_max=v_max, v_step=v_step, r_window=3)
             enhanced = rng.standard_normal((n_ref, n_query))
             got = seqslam_match(enhanced, cfg)
             want = seqslam_scores_brute(enhanced, ds, velocity_grid(cfg).tolist())

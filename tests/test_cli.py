@@ -119,6 +119,34 @@ class TestTrain:
         assert {"seed = 5", "batch_size = 7", "shuffle = false",
                 "initial_lr = 0.004"} <= set(recorded)
 
+    def test_recorded_config_loads(self, synth_dir, tmp_path):
+        # a .config as train wrote it before unknown keys were rejected, and
+        # the same with the weight_decay line that older files record
+        recorded = ("variant = spl\ndescriptor_dim = 32\nnum_places = 115\ntw = 5\n"
+                    "hidden_size = 16\npose_weight = 500.0\ninitial_lr = 0.004\n"
+                    "min_lr = 1e-06\nepochs = 3\nbatch_size = 9\nseed = 4\n"
+                    "scheduler_factor = 0.5\nscheduler_patience = 10\nshuffle = true\n")
+        data = ["--desc", str(synth_dir / "ref_descriptors.spld"),
+                "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5", "--hidden", "16"]
+        by_flags = tmp_path / "flags.splm"
+        assert run("train", *data, "--lr", "0.004", "--epochs", "3", "--batch", "9",
+                   "--seed", "4", "--out", str(by_flags)) == EXIT_OK
+        for text in (recorded, recorded + "weight_decay = 0.0\n"):
+            config, out = tmp_path / "old.config", tmp_path / "file.splm"
+            config.write_text(text)
+            assert run("train", *data, "--config", str(config), "--out", str(out)) == EXIT_OK
+            assert out.read_bytes() == by_flags.read_bytes()
+            assert (tmp_path / "file.splm.config").read_text() == recorded
+
+    def test_unknown_config_key_writes_nothing(self, synth_dir, tmp_path):
+        config, out = tmp_path / "typo.config", tmp_path / "x.splm"
+        config.write_text("epoch = 3\n")
+        code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
+                   "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
+                   "--config", str(config), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exploding_lr_exits_numeric(self, synth_dir, tmp_path):
         code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),

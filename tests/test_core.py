@@ -232,6 +232,17 @@ class TestConfigFileRoundTrip:
         cfg = train_config_from_mapping(read_config_file(path))
         assert cfg.epochs == 10 and cfg.shuffle is False
 
+    def test_unknown_key_rejected(self):
+        for key in ("epoch", "Epochs", "learning_rate", "weight-decay", ""):
+            with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
+                train_config_from_mapping({"seed": "1", key: "3"})
+
+    def test_model_keys_accepted_and_ignored(self):
+        model = dataclasses.asdict(ModelConfig(variant="spl", descriptor_dim=8,
+                                               num_places=20, tw=4))
+        raw = {key: str(value) for key, value in model.items()}
+        assert train_config_from_mapping({**raw, "epochs": "3"}) == TrainConfig(epochs=3)
+
     def test_nonzero_weight_decay_rejected(self, tmp_path):
         # weight decay is fixed at 0: .config files that record it as 0 load
         path = tmp_path / "c.cfg"
