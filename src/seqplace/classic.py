@@ -15,28 +15,9 @@ ENHANCE_EPS = 1e-9
 # working-set budget of one query block in the SAD and line-search loops,
 # sized to stay in a core's L2 cache
 BLOCK_BYTES = 256 * 1024
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Pairwise distances, reference frames along rows, queries along columns."""
-
-    matrix: np.ndarray  # (n_ref, n_query) float64, entries >= 0
-    metric: str
-
-    def __post_init__(self):
-        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValidationError(f"similarity matrix must be 2-d, got {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise ValidationError("similarity matrix has non-finite entries")
-        if (matrix < 0).any():
-            raise ValidationError("distances must be non-negative")
-        if self.metric not in METRICS:
-            raise ValidationError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if matrix.flags.owndata:
-            matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+# each velocity costs the line search ds passes over the whole matrix, so a
+# grid this long (the default has 5) is a mistyped range, not a search
+MAX_VELOCITIES = 1000
 
 
 @dataclass(frozen=True)
@@ -52,6 +33,9 @@ class SeqSlamConfig:
     def __post_init__(self):
         if self.ds < 1:
             raise ValidationError(f"ds must be at least 1, got {self.ds}")
+        for name in ("v_min", "v_max", "v_step"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.v_min <= self.v_max):
             raise ValidationError(
                 f"need 0 < v_min <= v_max, got v_min={self.v_min}, v_max={self.v_max}"
@@ -60,16 +44,26 @@ class SeqSlamConfig:
             raise ValidationError(f"v_step must be positive, got {self.v_step}")
         if self.r_window < 2:
             raise ValidationError(f"r_window must be at least 2, got {self.r_window}")
+        if _velocity_count(self) > MAX_VELOCITIES:
+            raise ValidationError(
+                f"velocity grid v_min={self.v_min}..v_max={self.v_max} step {self.v_step} "
+                f"has more than {MAX_VELOCITIES} entries"
+            )
+
+
+def _velocity_count(cfg: SeqSlamConfig) -> float:
+    return np.floor((cfg.v_max - cfg.v_min) / cfg.v_step + 1e-9) + 1
 
 
 def velocity_grid(cfg: SeqSlamConfig) -> np.ndarray:
-    count = int(np.floor((cfg.v_max - cfg.v_min) / cfg.v_step + 1e-9)) + 1
-    return cfg.v_min + np.arange(count) * cfg.v_step
+    return cfg.v_min + np.arange(int(_velocity_count(cfg))) * cfg.v_step
 
 
 def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
-                      metric: str = "cosine") -> SimilarityMatrix:
-    """D[i, j] = distance between reference frame i and query frame j."""
+                      metric: str = "cosine") -> np.ndarray:
+    """D[i, j] = distance between reference frame i and query frame j, as a
+    C-contiguous float64 array. Finite float32 descriptors give finite,
+    non-negative distances."""
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     if ref.dim != query.dim:
@@ -103,7 +97,7 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)
         matrix = np.clip(1.0 - a @ b.T, 0.0, 2.0)
-    return SimilarityMatrix(matrix=matrix, metric=metric)
+    return matrix
 
 
 def contrast_enhance(matrix, r_window: int) -> np.ndarray:
@@ -111,8 +105,7 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     around it within its column: (D - mu_local) / (sigma_local + 1e-9)."""
     if r_window < 2:
         raise ValidationError(f"r_window must be at least 2, got {r_window}")
-    d = matrix.matrix if isinstance(matrix, SimilarityMatrix) else matrix
-    d = np.asarray(d, dtype=np.float64)
+    d = np.asarray(matrix, dtype=np.float64)
     r_window = int(r_window)
     n_rows = d.shape[0]
     w = min(r_window, n_rows)
@@ -188,8 +181,7 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
 def pairwise_match(matrix) -> MatchScores:
     """Single-frame matching: best place per query is the smallest distance;
     confidence is one minus the min-max normalized distance."""
-    d = matrix.matrix if isinstance(matrix, SimilarityMatrix) else np.asarray(matrix)
-    return MatchScores.from_scores(_minmax_rescale(-d.T.astype(np.float64)))
+    return MatchScores.from_scores(_minmax_rescale(-np.asarray(matrix).T.astype(np.float64)))
 
 
 def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:

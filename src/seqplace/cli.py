@@ -23,6 +23,9 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
 THREADS_ENV = "SEQPLACE_THREADS"
+# np.iinfo(np.int64).max, spelt out because numpy loads only after
+# --threads is applied
+_INT64_MAX = 2 ** 63 - 1
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -135,7 +138,7 @@ def _load_scores_csv(path):
                 place, score = int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad numeric value") from exc
-            if not (0 <= place <= np.iinfo(np.int64).max and math.isfinite(score)):
+            if not (0 <= place <= _INT64_MAX and math.isfinite(score)):
                 raise FormatError(
                     f"{path}:{lineno}: predicted place must be a non-negative int64 "
                     "and confidence finite"
@@ -276,16 +279,18 @@ def cmd_match(args) -> int:
     params = {"method": args.method, "metric": metric, "ds": args.ds,
               "v_min": args.vmin, "v_max": args.vmax, "v_step": args.vstep,
               "r_window": args.rwindow, "delta_window": args.delta_window}
+    cfg = None
+    if args.method == "seqslam":
+        cfg = SeqSlamConfig(ds=args.ds, v_min=args.vmin, v_max=args.vmax,
+                            v_step=args.vstep, r_window=args.rwindow)
     manifest = _start_manifest("match", params, [args.ref, args.query], None)
     if args.method == "delta":
         ref = delta_descriptors(ref, args.delta_window)
         query = delta_descriptors(query, args.delta_window)
     sim = similarity_matrix(ref, query, metric=metric)
     if args.export_matrix:
-        save_descriptors(args.export_matrix, DescriptorSequence(data=sim.matrix))
-    if args.method == "seqslam":
-        cfg = SeqSlamConfig(ds=args.ds, v_min=args.vmin, v_max=args.vmax,
-                            v_step=args.vstep, r_window=args.rwindow)
+        save_descriptors(args.export_matrix, DescriptorSequence(data=sim))
+    if cfg is not None:
         scores = seqslam_match(contrast_enhance(sim, cfg.r_window), cfg)
     else:
         scores = pairwise_match(sim)

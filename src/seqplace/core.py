@@ -229,31 +229,40 @@ class MatchScores:
 
 @dataclass(frozen=True)
 class PrCurve:
-    """Threshold-swept precision/recall points, descending threshold order."""
+    """Threshold-swept precision/recall points, descending threshold order.
 
-    points: tuple  # ((threshold, precision, recall), ...)
-    auc: float
-    max_recall_at_full_precision: float
+    Derives auc, the trapezoid area over recall anchored at (0, first
+    precision) and summed in point order, and max_recall_at_full_precision,
+    the largest recall where precision is 1.0 (0.0 when there is none).
+    """
+
+    threshold: np.ndarray  # (n_points,)
+    precision: np.ndarray  # (n_points,)
+    recall: np.ndarray     # (n_points,)
+    auc: float = field(init=False)
+    max_recall_at_full_precision: float = field(init=False)
 
     def __post_init__(self):
-        points = tuple((float(t), float(p), float(r)) for t, p, r in self.points)
-        if not points:
-            raise ValidationError("a PR curve needs at least one point")
-        last_recall = 0.0
-        for _, precision, recall in points:
-            if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
-                raise ValidationError("precision and recall must lie in [0, 1]")
-            if recall < last_recall - 1e-12:
-                raise ValidationError("recall must be non-decreasing as threshold drops")
-            last_recall = recall
-        if not (0.0 <= self.auc <= 1.0):
-            raise ValidationError(f"auc must lie in [0, 1], got {self.auc}")
-        if not (0.0 <= self.max_recall_at_full_precision <= 1.0):
-            raise ValidationError("max_recall_at_full_precision must lie in [0, 1]")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "auc", float(self.auc))
-        object.__setattr__(self, "max_recall_at_full_precision",
-                           float(self.max_recall_at_full_precision))
+        threshold = _owned(self.threshold, np.float64)
+        precision = _owned(self.precision, np.float64)
+        recall = _owned(self.recall, np.float64)
+        if not (precision.ndim == 1 and precision.size >= 1
+                and threshold.shape == precision.shape == recall.shape):
+            raise ValidationError("a PR curve needs equal-length, non-empty point vectors")
+        if not (((precision >= 0.0) & (precision <= 1.0)).all()
+                and ((recall >= 0.0) & (recall <= 1.0)).all()):
+            raise ValidationError("precision and recall must lie in [0, 1]")
+        if (np.diff(recall) < -1e-12).any():
+            raise ValidationError("recall must be non-decreasing as threshold drops")
+        last_recall = np.concatenate(([0.0], recall[:-1]))
+        last_precision = np.concatenate((precision[:1], precision[:-1]))
+        # cumsum adds in point order; np.sum's pairwise order changes the bits
+        area = np.cumsum((recall - last_recall) * (precision + last_precision) / 2.0)[-1]
+        best = recall[precision == 1.0].max(initial=0.0)
+        for name, value in (("threshold", threshold), ("precision", precision),
+                            ("recall", recall), ("auc", float(area)),
+                            ("max_recall_at_full_precision", float(best))):
+            object.__setattr__(self, name, value)
 
 
 # --- files -------------------------------------------------------------------

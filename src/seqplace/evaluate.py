@@ -1,5 +1,5 @@
-"""Ground-truth tolerant precision-recall analysis, AUC, tolerance sweeps,
-max recall at full precision, and wall-clock latency benchmarking."""
+"""Ground-truth tolerant precision-recall curves, with their AUC and max
+recall at full precision, and wall-clock latency benchmarking."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatchScores, PrCurve, ValidationError, atomic_open
+from .core import PrCurve, ValidationError, atomic_open
 
 TOLERANCE_KINDS = ("frames", "meters")
 
@@ -47,39 +47,46 @@ class GroundTruth:
 class LatencyReport:
     """Wall-clock deployment cost of one matcher on one dataset size.
 
-    rep_seconds keeps the raw per-repetition wall times; min(rep_seconds)
-    is the noise-robust cost floor for cross-size comparisons.
+    rep_seconds keeps the raw per-repetition wall times and every summary
+    derives from them; min_us_per_query, from min(rep_seconds), is the
+    noise-robust cost floor for cross-size comparisons.
     """
 
     matcher: str
     n_frames: int
     n_queries: int
-    total_seconds: float
-    mean_us_per_query: float
-    p95_us_per_query: float
-    repetitions: int
-    rep_seconds: tuple = ()
+    rep_seconds: tuple
 
-    def __post_init__(self):
-        if self.total_seconds < self.mean_us_per_query * 1e-6 * self.n_queries * 0.5:
-            raise ValidationError("latency report fails its sanity bound")
+    def _per_query_us(self) -> np.ndarray:
+        return np.asarray(self.rep_seconds) / self.n_queries * 1e6
+
+    @property
+    def repetitions(self) -> int:
+        return len(self.rep_seconds)
+
+    @property
+    def total_seconds(self) -> float:
+        return float(np.asarray(self.rep_seconds).sum())
+
+    @property
+    def mean_us_per_query(self) -> float:
+        return float(self._per_query_us().mean())
+
+    @property
+    def p95_us_per_query(self) -> float:
+        return float(np.percentile(self._per_query_us(), 95))
 
     @property
     def min_us_per_query(self) -> float:
-        if not self.rep_seconds:
-            return self.mean_us_per_query
         return min(self.rep_seconds) / self.n_queries * 1e6
 
 
-def _correct_mask(predicted: np.ndarray, gt: GroundTruth, ref_poses,
-                  n_places: int | None) -> np.ndarray:
+def _correct_mask(predicted: np.ndarray, gt: GroundTruth, ref_poses) -> np.ndarray:
     if gt.map.shape[0] != predicted.shape[0]:
         raise ValidationError(
             f"{predicted.shape[0]} score rows but {gt.map.shape[0]} ground-truth entries"
         )
     if gt.tolerance_kind == "frames":
-        if n_places is not None and (gt.map >= n_places).any():
-            raise ValidationError("ground-truth index beyond the number of places")
         return np.abs(predicted - gt.map) <= gt.radius
     if ref_poses is None:
         raise ValidationError("meters-mode evaluation needs reference poses")
@@ -95,76 +102,27 @@ def _correct_mask(predicted: np.ndarray, gt: GroundTruth, ref_poses,
     return dist <= gt.radius
 
 
-def _sweep_points(confidence: np.ndarray, correct: np.ndarray) -> list:
-    n = confidence.shape[0]
-    order = np.argsort(-confidence, kind="stable")
-    sorted_conf = confidence[order]
-    cum_tp = np.cumsum(correct[order])
-    thresholds = np.unique(confidence)[::-1]
-    # last position with confidence >= threshold, for each threshold
-    counts = np.searchsorted(-sorted_conf, -thresholds, side="right")
-    points = []
-    for thr, retrieved in zip(thresholds, counts):
-        retrieved = int(retrieved)
-        tp = int(cum_tp[retrieved - 1]) if retrieved > 0 else 0
-        precision = tp / retrieved if retrieved > 0 else 1.0
-        points.append((float(thr), precision, tp / n))
-    return points
+def pr_curve_from_arrays(predicted, confidence, gt: GroundTruth, ref_poses=None) -> PrCurve:
+    """Sweep the threshold over every distinct confidence, highest first.
 
-
-def pr_curve_from_arrays(predicted, confidence, gt: GroundTruth, ref_poses=None,
-                         n_places: int | None = None) -> PrCurve:
+    A query is retrieved when its confidence meets the threshold; retrieved
+    queries within tolerance are true positives. Precision is TP over
+    retrieved, recall TP over all queries.
+    """
     predicted = np.asarray(predicted, dtype=np.int64)
     confidence = np.asarray(confidence, dtype=np.float64)
     if predicted.shape != confidence.shape or predicted.ndim != 1:
         raise ValidationError("predicted and confidence must be equal-length vectors")
-    correct = _correct_mask(predicted, gt, ref_poses, n_places)
-    points = _sweep_points(confidence, correct)
-    return PrCurve(points=tuple(points), auc=_auc_points(points),
-                   max_recall_at_full_precision=_max_recall_points(points))
-
-
-def pr_curve(scores: MatchScores, gt: GroundTruth, ref_poses=None) -> PrCurve:
-    """Sweep the threshold over every distinct confidence, highest first.
-
-    A query is retrieved when its confidence meets the threshold; retrieved
-    queries within tolerance are true positives. Precision is 1.0 when
-    nothing is retrieved.
-    """
-    return pr_curve_from_arrays(scores.predicted, scores.confidence, gt,
-                                ref_poses=ref_poses, n_places=scores.n_places)
-
-
-def _auc_points(points) -> float:
-    """Trapezoid over recall, anchored at (0, precision of the first point)."""
-    area = 0.0
-    last_recall = 0.0
-    last_precision = points[0][1]
-    for _, precision, recall in points:
-        area += (recall - last_recall) * (precision + last_precision) / 2.0
-        last_recall, last_precision = recall, precision
-    return area
-
-
-def _max_recall_points(points) -> float:
-    best = 0.0
-    for _, precision, recall in points:
-        if precision == 1.0 and recall > best:
-            best = recall
-    return best
-
-
-def auc_vs_tolerance(scores: MatchScores, gt_map, radii, kind: str = "frames",
-                     ref_poses=None) -> list:
-    """One (radius, auc) row per tolerance, on the same scores."""
-    radii = list(radii)
-    if not radii:
-        raise ValidationError("radii must be non-empty")
-    rows = []
-    for radius in radii:
-        gt = GroundTruth(map=gt_map, tolerance_kind=kind, radius=float(radius))
-        rows.append((float(radius), pr_curve(scores, gt, ref_poses=ref_poses).auc))
-    return rows
+    correct = _correct_mask(predicted, gt, ref_poses)
+    order = np.argsort(-confidence, kind="stable")
+    cum_tp = np.cumsum(correct[order])
+    thresholds = np.unique(confidence)[::-1]
+    # queries with confidence >= threshold, for each threshold; every
+    # threshold is some query's confidence, so at least one
+    retrieved = np.searchsorted(-confidence[order], -thresholds, side="right")
+    tp = cum_tp[retrieved - 1]
+    return PrCurve(threshold=thresholds, precision=tp / retrieved,
+                   recall=tp / confidence.shape[0])
 
 
 def bench_latency(matcher, dataset, repetitions: int, n_queries: int,
@@ -187,18 +145,8 @@ def bench_latency(matcher, dataset, repetitions: int, n_queries: int,
         except Exception as exc:
             raise ValidationError(f"{name} failed at repetition {rep}: {exc}") from exc
         times.append(time.perf_counter() - start)
-    times = np.asarray(times)
-    per_query_us = times / n_queries * 1e6
-    return LatencyReport(
-        matcher=name,
-        n_frames=n_queries if n_frames is None else n_frames,
-        n_queries=n_queries,
-        total_seconds=float(times.sum()),
-        mean_us_per_query=float(per_query_us.mean()),
-        p95_us_per_query=float(np.percentile(per_query_us, 95)),
-        repetitions=repetitions,
-        rep_seconds=tuple(float(t) for t in times),
-    )
+    return LatencyReport(matcher=name, n_frames=n_queries if n_frames is None else n_frames,
+                         n_queries=n_queries, rep_seconds=tuple(times))
 
 
 # --- plain-text output ---------------------------------------------------------
@@ -206,7 +154,8 @@ def bench_latency(matcher, dataset, repetitions: int, n_queries: int,
 def write_pr_csv(path, curve: PrCurve) -> None:
     with atomic_open(path) as fh:
         fh.write("threshold,precision,recall\n")
-        for thr, precision, recall in curve.points:
+        for thr, precision, recall in zip(curve.threshold.tolist(),
+                                          curve.precision.tolist(), curve.recall.tolist()):
             fh.write(f"{thr!r},{precision!r},{recall!r}\n")
 
 

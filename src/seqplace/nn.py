@@ -1,9 +1,9 @@
 """Dense network numerics on numpy: LSTM cell, softmax cross-entropy,
-Adam, plateau learning-rate scheduling, and a central finite-difference
-gradient checker.
+Adam, and plateau learning-rate scheduling.
 
 Gradients are hand-derived for exactly these layers; there is no general
-autodiff. Training arithmetic is float32, gradient checking float64.
+autodiff. Training arithmetic is float32; the tests check the gradients
+against central finite differences in float64.
 """
 
 from __future__ import annotations
@@ -246,37 +246,3 @@ def plateau_step(state: SchedulerState, epoch_loss: float, factor: float,
                               best_loss=state.best_loss, epochs_since_improvement=0)
     return SchedulerState(current_lr=state.current_lr, best_loss=state.best_loss,
                           epochs_since_improvement=count)
-
-
-def grad_check(loss, params, grads, eps: float) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    loss() must deterministically return the loss for the current parameter
-    values; grads are its analytic gradients at the unperturbed values and
-    params the float64 arrays they belong to, perturbed in place here.
-    Returns the worst relative error over every parameter entry.
-    """
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
-    for idx, p in enumerate(params):
-        if p.dtype != np.float64:
-            raise ValidationError(
-                f"gradient checking requires float64 parameters (parameter {idx} is {p.dtype})"
-            )
-    if loss() != loss():
-        raise ValidationError("loss is not deterministic: repeated evaluations differ")
-    worst = 0.0
-    for p, g in zip(params, grads):
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + eps
-            loss_plus = loss()
-            flat[k] = orig - eps
-            loss_minus = loss()
-            flat[k] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            denom = max(abs(gflat[k]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[k] - numeric) / denom)
-    return worst

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from seqplace.core import ValidationError
+
 
 # --- scalar LSTM reference ------------------------------------------------------
 
@@ -226,6 +228,42 @@ def pr_sweep_brute(confidence, correct):
         if precision == 1.0 and recall > best:
             best = recall
     return points, area, best
+
+
+# --- gradient oracle --------------------------------------------------------------
+
+def grad_check(loss, params, grads, eps: float) -> float:
+    """Compare analytic gradients against central finite differences.
+
+    loss() must deterministically return the loss for the current parameter
+    values; grads are its analytic gradients at the unperturbed values and
+    params the float64 arrays they belong to, perturbed in place here.
+    Returns the worst relative error over every parameter entry.
+    """
+    if eps <= 0:
+        raise ValidationError(f"eps must be positive, got {eps}")
+    for idx, p in enumerate(params):
+        if p.dtype != np.float64:
+            raise ValidationError(
+                f"gradient checking requires float64 parameters (parameter {idx} is {p.dtype})"
+            )
+    if loss() != loss():
+        raise ValidationError("loss is not deterministic: repeated evaluations differ")
+    worst = 0.0
+    for p, g in zip(params, grads):
+        flat = p.reshape(-1)
+        gflat = np.asarray(g).reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + eps
+            loss_plus = loss()
+            flat[k] = orig - eps
+            loss_minus = loss()
+            flat[k] = orig
+            numeric = (loss_plus - loss_minus) / (2.0 * eps)
+            denom = max(abs(gflat[k]), abs(numeric), 1e-8)
+            worst = max(worst, abs(gflat[k] - numeric) / denom)
+    return worst
 
 
 def adam_scalar_steps(grad, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):

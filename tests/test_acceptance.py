@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import pr_sweep_brute, seqslam_scores_brute
+from oracles import grad_check, pr_sweep_brute, seqslam_scores_brute
 from seqplace import nn
 from seqplace.classic import (
     SeqSlamConfig,
@@ -31,7 +31,7 @@ from seqplace.core import (
     TrainConfig,
     seeded_rng,
 )
-from seqplace.evaluate import GroundTruth, auc_vs_tolerance, bench_latency, pr_curve
+from seqplace.evaluate import GroundTruth, bench_latency, pr_curve_from_arrays
 from seqplace.ingest import (
     load_descriptors,
     perturb_query,
@@ -90,6 +90,11 @@ def model_tw10(canonical_env):
     return train_canonical(canonical_env, 10)
 
 
+def pr_curve(scores, gt, ref_poses=None):
+    """PR curve of a matcher's best match and confidence per query."""
+    return pr_curve_from_arrays(scores.predicted, scores.confidence, gt, ref_poses=ref_poses)
+
+
 def frames_auc(scores, gt_map, radius):
     gt = GroundTruth(map=gt_map[:scores.n_queries], tolerance_kind="frames",
                      radius=radius)
@@ -131,7 +136,7 @@ def test_c1_gradient_correctness():
             # eps balances truncation against roundoff: smaller steps drown
             # entries near the 1e-8 denominator floor in loss-evaluation
             # noise, larger ones reintroduce truncation error
-            err = nn.grad_check(loss, params, grads, eps=3e-4)
+            err = grad_check(loss, params, grads, eps=3e-4)
             worst = max(worst, err)
             assert err <= 1e-4, f"{variant} seed {seed}: rel err {err:.3e}"
     elapsed = time.perf_counter() - start
@@ -242,14 +247,15 @@ def test_c6_pr_auc_oracle():
         curve = pr_curve(match, GroundTruth(map=gt_map, radius=radius))
         correct = np.abs(predicted - gt_map) <= radius
         points, area, best = pr_sweep_brute(confidence, correct)
-        assert len(curve.points) == len(points)
-        for got, want in zip(curve.points, points):
+        got_points = list(zip(curve.threshold, curve.precision, curve.recall))
+        assert len(got_points) == len(points)
+        for got, want in zip(got_points, points):
             assert got == pytest.approx(want, abs=1e-9)
         assert curve.auc == pytest.approx(area, abs=1e-9)
         assert curve.max_recall_at_full_precision == pytest.approx(best, abs=1e-9)
 
-        rows = auc_vs_tolerance(match, gt_map, list(range(1, 51)))
-        values = [v for _, v in rows]
+        values = [pr_curve(match, GroundTruth(map=gt_map, radius=float(r))).auc
+                  for r in range(1, 51)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), \
             f"trial {trial}: AUC not monotone in radius"
     print("\nACCEPTANCE C6 pr-auc-oracle: PASS (200 instances + radius sweeps)")

@@ -4,7 +4,6 @@ import pytest
 from oracles import delta_brute, enhance_brute, sad_brute, sad_rowloop, seqslam_scores_brute
 from seqplace import classic
 from seqplace.classic import (
-    SimilarityMatrix,
     SeqSlamConfig,
     contrast_enhance,
     delta_descriptors,
@@ -26,19 +25,19 @@ class TestSimilarityMatrix:
         rng = seeded_rng(1)
         desc = DescriptorSequence(data=unit_rows(rng, 6, 5).astype(np.float32))
         for metric in ("sad", "cosine"):
-            d = similarity_matrix(desc, desc, metric=metric).matrix
+            d = similarity_matrix(desc, desc, metric=metric)
             assert np.allclose(np.diag(d), 0.0, atol=1e-6)
 
     def test_orthogonal_unit_vectors_cosine_distance_one(self):
         a = DescriptorSequence(data=[[1.0, 0.0]])
         b = DescriptorSequence(data=[[0.0, 1.0]])
-        d = similarity_matrix(a, b, metric="cosine").matrix
+        d = similarity_matrix(a, b, metric="cosine")
         assert abs(d[0, 0] - 1.0) < 1e-12
 
     def test_hand_computed_3x2(self):
         ref = DescriptorSequence(data=[[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         query = DescriptorSequence(data=[[1.0, 1.0], [2.0, 0.0]])
-        d = similarity_matrix(ref, query, metric="sad").matrix
+        d = similarity_matrix(ref, query, metric="sad")
         # |1-1|+|0-1|=1 ; |1-2|+|0-0|=1 ; |0-1|+|2-1|=2 ; |0-2|+|2-0|=4 ; 0 ; 1+1
         assert np.array_equal(d, [[1.0, 1.0], [2.0, 4.0], [0.0, 2.0]])
 
@@ -46,7 +45,7 @@ class TestSimilarityMatrix:
         rng = seeded_rng(2)
         ref = DescriptorSequence(data=rng.standard_normal((7, 4)).astype(np.float32))
         query = DescriptorSequence(data=rng.standard_normal((5, 4)).astype(np.float32))
-        d = similarity_matrix(ref, query, metric="sad").matrix
+        d = similarity_matrix(ref, query, metric="sad")
         assert np.allclose(d, sad_brute(ref.data.astype(np.float64),
                                         query.data.astype(np.float64)), atol=1e-9)
 
@@ -60,22 +59,16 @@ class TestSimilarityMatrix:
         for n_query in (block // 2 + 1, block, 2 * block + block // 2 + 1):
             query = DescriptorSequence(
                 data=rng.standard_normal((n_query, dim)).astype(np.float32))
-            d = similarity_matrix(ref, query, metric="sad").matrix
+            d = similarity_matrix(ref, query, metric="sad")
             assert np.array_equal(d, sad_rowloop(ref.data, query.data))
-
-    def test_takes_ownership_without_copy(self):
-        d = seeded_rng(15).random((4, 3))
-        m = SimilarityMatrix(matrix=d, metric="sad")
-        assert m.matrix is d
-        assert not d.flags.writeable
 
     def test_transpose_symmetry(self):
         rng = seeded_rng(3)
         a = DescriptorSequence(data=rng.standard_normal((6, 4)).astype(np.float32))
         b = DescriptorSequence(data=rng.standard_normal((9, 4)).astype(np.float32))
         for metric in ("sad", "cosine"):
-            d_ab = similarity_matrix(a, b, metric=metric).matrix
-            d_ba = similarity_matrix(b, a, metric=metric).matrix
+            d_ab = similarity_matrix(a, b, metric=metric)
+            d_ba = similarity_matrix(b, a, metric=metric)
             assert np.allclose(d_ab, d_ba.T, atol=1e-12)
 
     def test_dim_mismatch(self):
@@ -216,6 +209,12 @@ class TestSeqSlamMatch:
     def test_invalid_velocity_config_rejected(self):
         with pytest.raises(ValidationError):
             SeqSlamConfig(v_min=1.5, v_max=1.2)
+
+    def test_velocity_grid_length_is_capped(self):
+        longest = SeqSlamConfig(v_min=1.0, v_max=float(classic.MAX_VELOCITIES), v_step=1.0)
+        assert velocity_grid(longest).size == classic.MAX_VELOCITIES
+        with pytest.raises(ValidationError, match="more than"):
+            SeqSlamConfig(v_min=1.0, v_max=classic.MAX_VELOCITIES + 1.0, v_step=1.0)
 
 
 class TestPairwiseMatch:

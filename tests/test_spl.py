@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import linear, scalar_lstm_step, spl_window_scores
+from oracles import grad_check, linear, scalar_lstm_step, spl_window_scores
 from seqplace import nn
 from seqplace.core import (
     DescriptorSequence,
@@ -160,7 +160,7 @@ def model_qualified_grad_check(variant, seed, n=8, hidden=12, n_out=16, tw=4):
         return float(nn.softmax_cross_entropy_batch(logits, targets)[0][0])
 
     _, grads = window_batch(model, desc, pose, [0], targets)
-    return nn.grad_check(loss, parameter_list(model), grads, eps=1e-5)
+    return grad_check(loss, parameter_list(model), grads, eps=1e-5)
 
 
 class TestGradients:
