@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -21,32 +20,6 @@ import time
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
-
-THREADS_ENV = "SEQPLACE_THREADS"
-# np.iinfo(np.int64).max, spelt out because numpy loads only after
-# --threads is applied
-_INT64_MAX = 2 ** 63 - 1
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _configure_threads(argv) -> None:
-    """Apply --threads / SEQPLACE_THREADS before numpy gets imported.
-
-    Only effective when numpy has not been imported in this process yet;
-    library users should set the environment variables themselves.
-    """
-    value = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value is None:
-        value = os.environ.get(THREADS_ENV)
-    if value:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(value)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -103,51 +76,6 @@ def _finish(manifest: RunManifest, out_path) -> int:
     manifest.finished_at = _utc_now()
     manifest.write(out_path)
     return EXIT_OK
-
-
-def _write_scores_csv(path, match) -> None:
-    from .core import atomic_open
-
-    with atomic_open(path) as fh:
-        fh.write("query,predicted,confidence\n")
-        for q in range(match.n_queries):
-            fh.write(f"{q},{int(match.predicted[q])},{float(match.confidence[q])!r}\n")
-
-
-def _load_scores_csv(path):
-    import numpy as np
-
-    from .core import FormatError, open_text
-
-    predicted = []
-    confidence = []
-    with open_text(path) as fh:
-        header = fh.readline().strip().replace(" ", "")
-        if header != "query,predicted,confidence":
-            raise FormatError(
-                f"{path}: expected header 'query,predicted,confidence', got {header!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                place, score = int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad numeric value") from exc
-            if not (0 <= place <= _INT64_MAX and math.isfinite(score)):
-                raise FormatError(
-                    f"{path}:{lineno}: predicted place must be a non-negative int64 "
-                    "and confidence finite"
-                )
-            predicted.append(place)
-            confidence.append(score)
-    if not predicted:
-        raise FormatError(f"{path}: no score rows found")
-    return np.asarray(predicted, dtype=np.int64), np.asarray(confidence, dtype=np.float64)
 
 
 def _parse_warp(text):
@@ -213,9 +141,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .core import (ModelConfig, TrainConfig, ValidationError, atomic_open,
-                       read_config_file, train_config_from_mapping, write_config_file)
-    from .ingest import load_descriptors, load_poses
+    from .core import (ModelConfig, TrainConfig, ValidationError, read_config_file,
+                       train_config_from_mapping, write_config_file)
+    from .ingest import load_descriptors, load_poses, write_table
     from .spl import build_model, save_checkpoint, train
 
     desc = load_descriptors(args.desc)
@@ -242,17 +170,14 @@ def cmd_train(args) -> int:
     model = build_model(model_cfg, train_cfg.seed)
     trained, history = train(model, desc, poses, args.tw, train_cfg)
     save_checkpoint(trained, args.out)
-    with atomic_open(f"{args.out}.history.csv") as fh:
-        fh.write("epoch,loss,accuracy,lr\n")
-        for epoch, (loss, acc, lr) in enumerate(
-                zip(history.loss, history.accuracy, history.lr)):
-            fh.write(f"{epoch},{loss!r},{acc!r},{lr!r}\n")
+    write_table(f"{args.out}.history.csv", "epoch,loss,accuracy,lr",
+                zip(range(len(history.loss)), history.loss, history.accuracy, history.lr))
     write_config_file(f"{args.out}.config", {**params["model"], **params["train"]})
     return _finish(manifest, args.out)
 
 
 def cmd_infer(args) -> int:
-    from .ingest import load_descriptors, load_poses
+    from .ingest import load_descriptors, load_poses, save_scores
     from .spl import infer, load_checkpoint
 
     model = load_checkpoint(args.ckpt)
@@ -260,8 +185,7 @@ def cmd_infer(args) -> int:
     poses = load_poses(args.poses)
     manifest = _start_manifest(
         "infer", {"ckpt": args.ckpt}, [args.ckpt, args.desc, args.poses], None)
-    scores = infer(model, desc, poses)
-    _write_scores_csv(args.out, scores)
+    save_scores(args.out, infer(model, desc, poses))
     return _finish(manifest, args.out)
 
 
@@ -269,20 +193,18 @@ def cmd_match(args) -> int:
     from .classic import (SeqSlamConfig, contrast_enhance, delta_descriptors,
                           pairwise_match, seqslam_match, similarity_matrix)
     from .core import DescriptorSequence
-    from .ingest import load_descriptors, save_descriptors
+    from .ingest import load_descriptors, save_descriptors, save_scores
 
     ref = load_descriptors(args.ref)
     query = load_descriptors(args.query)
     metric = args.metric
     if metric is None:
         metric = "sad" if args.method == "seqslam" else "cosine"
-    params = {"method": args.method, "metric": metric, "ds": args.ds,
-              "v_min": args.vmin, "v_max": args.vmax, "v_step": args.vstep,
-              "r_window": args.rwindow, "delta_window": args.delta_window}
-    cfg = None
-    if args.method == "seqslam":
-        cfg = SeqSlamConfig(ds=args.ds, v_min=args.vmin, v_max=args.vmax,
-                            v_step=args.vstep, r_window=args.rwindow)
+    # every method records, and so validates, the line-search settings
+    cfg = SeqSlamConfig(ds=args.ds, v_min=args.vmin, v_max=args.vmax,
+                        v_step=args.vstep, r_window=args.rwindow)
+    params = {"method": args.method, "metric": metric, **dataclasses.asdict(cfg),
+              "delta_window": args.delta_window}
     manifest = _start_manifest("match", params, [args.ref, args.query], None)
     if args.method == "delta":
         ref = delta_descriptors(ref, args.delta_window)
@@ -290,20 +212,20 @@ def cmd_match(args) -> int:
     sim = similarity_matrix(ref, query, metric=metric)
     if args.export_matrix:
         save_descriptors(args.export_matrix, DescriptorSequence(data=sim))
-    if cfg is not None:
+    if args.method == "seqslam":
         scores = seqslam_match(contrast_enhance(sim, cfg.r_window), cfg)
     else:
         scores = pairwise_match(sim)
-    _write_scores_csv(args.out, scores)
+    save_scores(args.out, scores)
     return _finish(manifest, args.out)
 
 
 def cmd_eval(args) -> int:
     from .core import ValidationError
     from .evaluate import GroundTruth, pr_curve_from_arrays, write_auc_csv, write_pr_csv
-    from .ingest import load_ground_truth, load_poses
+    from .ingest import load_ground_truth, load_poses, load_scores
 
-    predicted, confidence = _load_scores_csv(args.scores)
+    predicted, confidence = load_scores(args.scores)
     gt_map = load_ground_truth(args.gt)
     if gt_map.shape[0] < predicted.shape[0]:
         raise ValidationError(
@@ -409,7 +331,6 @@ def cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="seqplace",
                      description="Sequence-based place recognition toolkit")
-    parser.add_argument("--threads", help="thread count for BLAS pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[], help="generate a synthetic traversal",
@@ -495,10 +416,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _configure_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     from .core import NumericsError, ValidationError
 
     try:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PrCurve, ValidationError, atomic_open
+from .ingest import write_table
 
 TOLERANCE_KINDS = ("frames", "meters")
 
@@ -152,18 +153,13 @@ def bench_latency(matcher, dataset, repetitions: int, n_queries: int,
 # --- plain-text output ---------------------------------------------------------
 
 def write_pr_csv(path, curve: PrCurve) -> None:
-    with atomic_open(path) as fh:
-        fh.write("threshold,precision,recall\n")
-        for thr, precision, recall in zip(curve.threshold.tolist(),
-                                          curve.precision.tolist(), curve.recall.tolist()):
-            fh.write(f"{thr!r},{precision!r},{recall!r}\n")
+    write_table(path, "threshold,precision,recall",
+                zip(curve.threshold.tolist(), curve.precision.tolist(), curve.recall.tolist()))
 
 
 def write_auc_csv(path, rows) -> None:
-    with atomic_open(path) as fh:
-        fh.write("radius,auc\n")
-        for radius, value in rows:
-            fh.write(f"{float(radius)!r},{float(value)!r}\n")
+    """rows: (radius, auc) pairs of floats."""
+    write_table(path, "radius,auc", rows)
 
 
 def latency_report_json(report: LatencyReport) -> dict:

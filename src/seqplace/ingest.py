@@ -1,10 +1,14 @@
-"""Data ingestion and synthesis: descriptor/pose file formats, pose
-standardization, and desk-scale synthetic traversals with speed-warped
-query variants.
+"""Data ingestion and synthesis: file formats, pose standardization, and
+desk-scale synthetic traversals with speed-warped query variants.
 
 Descriptor binary format: magic "SPLD", then little-endian uint32
 version (=1), N, n, then N*n float32 values row-major. Files ending in
-.csv are parsed as one comma-separated row per frame instead.
+.csv are a CSV table without a header instead, one row per frame.
+
+Every text file (poses, ground truth, scores, and the curves and training
+history other modules write) is a CSV table, written by `write_table` and
+read by `read_table`: a header line, then one comma-separated row per line,
+floats written with repr so they read back bit-exact.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from .core import (
     DescriptorSequence,
     FormatError,
+    MatchScores,
     PoseSequence,
     ValidationError,
     atomic_open,
@@ -24,60 +29,99 @@ from .core import (
     seeded_rng,
 )
 
-# Largest frame index a loader accepts: indices are held as int64.
-_INDEX_MAX = np.iinfo(np.int64).max
-
 DESC_MAGIC = b"SPLD"
 DESC_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
+# --- CSV tables ----------------------------------------------------------------
+
+def write_table(path, header, rows) -> None:
+    """Write the header line (none when header is None), then one line per
+    row of Python ints and floats, as str gives them; atomically."""
+    with atomic_open(path) as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def read_table(path, header, kinds):
+    """Read a CSV table column by column.
+
+    header is the expected first line (spaces ignored), or None for a table
+    without one; kinds gives int or float per column, or, without a header,
+    one kind for every column of a width set by the first row. Blank lines
+    are skipped. Returns (columns, lines): an int64 or float64 array per
+    column and the line number of each row. A wrong header, an empty
+    table, a row of the wrong width or a bad value raises FormatError.
+    """
+    text = open_text(path).read().split("\n")
+    first = 0
+    if header is not None:
+        got = text[0].strip().replace(" ", "")
+        if got != header:
+            raise FormatError(f"{path}: expected header {header!r}, got {got!r}")
+        first = 1
+    numbered = [(lineno, line.split(","))
+                for lineno, line in enumerate(map(str.strip, text[first:]), first + 1) if line]
+    if not numbered:
+        raise FormatError(f"{path}: no rows found")
+    lines, rows = zip(*numbered)
+    if header is None:
+        kinds = (kinds,) * len(rows[0])
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    _check_rows(path, lines, widths == len(kinds),
+                f"expected {len(kinds)} comma-separated values")
+    columns = [_column(path, kind, values, lines) for kind, values in zip(kinds, zip(*rows))]
+    return columns, lines
+
+
+def _column(path, kind, values, lines) -> np.ndarray:
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.array(list(map(kind, values)), dtype=dtype)
+    except (ValueError, OverflowError):
+        for value, lineno in zip(values, lines):  # name the first bad value
+            try:
+                np.array(kind(value), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(
+                    f"{path}:{lineno}: bad {np.dtype(dtype).name} value {value!r}") from exc
+        raise
+
+
+def _check_rows(path, lines, ok, message) -> None:
+    """FormatError at the line of the first row where ok is False."""
+    if not ok.all():
+        raise FormatError(f"{path}:{lines[int(np.argmin(ok))]}: {message}")
+
+
+def _validated(path, cls, data):
+    try:
+        return cls(data=data)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+# --- file formats ----------------------------------------------------------------
+
 def save_descriptors(path, desc: DescriptorSequence) -> None:
     path = str(path)
     data = np.ascontiguousarray(desc.data, dtype="<f4")
     if path.endswith(".csv"):
-        with atomic_open(path) as fh:
-            for row in data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_table(path, None, data.tolist())
         return
     with atomic_open(path, binary=True) as fh:
         fh.write(_HEADER.pack(DESC_MAGIC, DESC_VERSION, data.shape[0], data.shape[1]))
         fh.write(data.tobytes())
 
 
-def _load_descriptor_csv(path) -> DescriptorSequence:
-    rows = []
-    width = None
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric descriptor entry") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise FormatError(
-                    f"{path}:{lineno}: row has {len(row)} values, expected {width}"
-                )
-            rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: no descriptor rows found")
-    try:
-        with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected below
-            data = np.asarray(rows, dtype=np.float32)
-        return DescriptorSequence(data=data)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def load_descriptors(path) -> DescriptorSequence:
     path = str(path)
     if path.endswith(".csv"):
-        return _load_descriptor_csv(path)
+        columns, _ = read_table(path, None, float)
+        with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected there
+            return _validated(path, DescriptorSequence, np.stack(columns, axis=1))
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -96,85 +140,45 @@ def load_descriptors(path) -> DescriptorSequence:
             f"file has {len(blob)}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n_frames, dim)
-    try:
-        return DescriptorSequence(data=data)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _validated(path, DescriptorSequence, data)
 
 
 def save_poses(path, poses: PoseSequence) -> None:
-    with atomic_open(path) as fh:
-        fh.write("frame,x,y\n")
-        for idx, (x, y) in enumerate(poses.data):
-            fh.write(f"{idx},{float(x)!r},{float(y)!r}\n")
+    write_table(path, "frame,x,y", zip(range(poses.n_frames), *poses.data.T.tolist()))
 
 
 def load_poses(path) -> PoseSequence:
-    rows = []
-    last_frame = None
-    with open_text(path) as fh:
-        header = fh.readline().strip().replace(" ", "")
-        if header != "frame,x,y":
-            raise FormatError(f"{path}: expected header 'frame,x,y', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'frame,x,y'")
-            try:
-                frame = int(parts[0])
-                x, y = float(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric pose entry") from exc
-            if last_frame is not None and frame <= last_frame:
-                raise FormatError(
-                    f"{path}:{lineno}: frame indices must be strictly increasing"
-                )
-            last_frame = frame
-            rows.append((x, y))
-    if not rows:
-        raise FormatError(f"{path}: no pose rows found")
-    try:
-        return PoseSequence(data=np.asarray(rows, dtype=np.float64))
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    (frame, x, y), lines = read_table(path, "frame,x,y", (int, float, float))
+    _check_rows(path, lines[1:], frame[1:] > frame[:-1],
+                "frame indices must be strictly increasing")
+    return _validated(path, PoseSequence, np.stack((x, y), axis=1))
 
 
 def save_ground_truth(path, gt_map) -> None:
-    gt_map = np.asarray(gt_map, dtype=np.int64)
-    with atomic_open(path) as fh:
-        fh.write("query,ref\n")
-        for q, r in enumerate(gt_map):
-            fh.write(f"{q},{r}\n")
+    write_table(path, "query,ref", enumerate(np.asarray(gt_map, dtype=np.int64).tolist()))
 
 
 def load_ground_truth(path) -> np.ndarray:
-    refs = []
-    with open_text(path) as fh:
-        header = fh.readline().strip().replace(" ", "")
-        if header != "query,ref":
-            raise FormatError(f"{path}: expected header 'query,ref', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'query,ref'")
-            try:
-                query, ref = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer entry") from exc
-            if query != len(refs):
-                raise FormatError(f"{path}:{lineno}: query indices must be 0,1,2,...")
-            if not 0 <= ref <= _INDEX_MAX:
-                raise FormatError(f"{path}:{lineno}: reference index {ref} out of range")
-            refs.append(ref)
-    if not refs:
-        raise FormatError(f"{path}: no ground-truth rows found")
-    return np.asarray(refs, dtype=np.int64)
+    (query, ref), lines = read_table(path, "query,ref", (int, int))
+    _check_rows(path, lines, query == np.arange(query.size), "query indices must be 0,1,2,...")
+    _check_rows(path, lines, ref >= 0, "reference index must be non-negative")
+    return ref
+
+
+def save_scores(path, scores: MatchScores) -> None:
+    write_table(path, "query,predicted,confidence",
+                zip(range(scores.n_queries), scores.predicted.tolist(),
+                    scores.confidence.tolist()))
+
+
+def load_scores(path):
+    """(predicted, confidence) of a scores table, whose rows count queries 0,1,2,..."""
+    (query, predicted, confidence), lines = read_table(
+        path, "query,predicted,confidence", (int, int, float))
+    _check_rows(path, lines, query == np.arange(query.size), "query indices must be 0,1,2,...")
+    _check_rows(path, lines, predicted >= 0, "predicted place must be non-negative")
+    _check_rows(path, lines, np.isfinite(confidence), "confidence must be finite")
+    return predicted, confidence
 
 
 # --- pose standardization ---------------------------------------------------

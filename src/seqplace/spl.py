@@ -353,7 +353,7 @@ def _tensor_shapes(cfg: ModelConfig) -> list:
     return shapes
 
 
-def load_checkpoint(path, expected_variant: str | None = None) -> SplModel:
+def load_checkpoint(path) -> SplModel:
     with open(path, "rb") as fh:
         blob = fh.read()
     base = _CKPT_HEAD.size + 8 + 32
@@ -367,10 +367,6 @@ def load_checkpoint(path, expected_variant: str | None = None) -> SplModel:
     if tag not in _TAG_VARIANTS:
         raise FormatError(f"{path}: unknown variant tag {tag}")
     variant = _TAG_VARIANTS[tag]
-    if expected_variant is not None and variant != expected_variant:
-        raise ValidationError(
-            f"{path}: checkpoint holds a {variant!r} model, expected {expected_variant!r}"
-        )
     offset = _CKPT_HEAD.size
     (pose_weight,) = struct.unpack_from("<d", blob, offset)
     offset += 8

@@ -14,6 +14,15 @@ def run(*argv):
     return main(list(argv))
 
 
+def read_manifest(path):
+    """Parse a manifest as strict JSON: NaN and Infinity are not JSON."""
+    def reject(token):
+        raise ValueError(f"{path}: non-JSON constant {token}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
@@ -231,6 +240,16 @@ class TestInferAndEval:
         assert code == EXIT_USAGE
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "scores.csv"]
 
+    def test_scores_query_column_must_count(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("query,predicted,confidence\n7,3,0.5\n7,1,0.25\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("query,ref\n0,1\n1,3\n")
+        code = run("eval", "--scores", str(scores), "--gt", str(gt), "--radius", "0",
+                   "--out", str(tmp_path / "eval"))
+        assert code == EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "scores.csv"]
+
     def test_non_finite_checkpoint_rejected(self, synth_dir, trained, tmp_path):
         clean = load_checkpoint(trained)
         for name in ("w_out", "pose_sigma"):
@@ -318,6 +337,14 @@ class TestMatch:
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("method", ["pairwise", "delta"])
+    def test_every_method_validates_the_velocity_grid(self, synth_dir, tmp_path, method):
+        code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
+                   "--query", str(synth_dir / "query_descriptors.spld"),
+                   "--method", method, "--vmax", "inf", "--out", str(tmp_path / "scores.csv"))
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_matrix_round_trips(self, synth_dir, tmp_path):
         matrix_path = tmp_path / "matrix.spld"
         code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
@@ -355,9 +382,11 @@ class TestManifest:
             run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
                 "--query", str(synth_dir / "query_descriptors.spld"),
                 "--method", "pairwise", "--out", str(out))
-            with open(str(out) + ".manifest.json") as fh:
-                outs.append(json.load(fh))
+            outs.append(read_manifest(str(out) + ".manifest.json"))
             assert outs[-1]["command"] == "match"
+            assert outs[-1]["parameters"] == {
+                "method": "pairwise", "metric": "cosine", "ds": 10, "v_min": 0.8,
+                "v_max": 1.2, "v_step": 0.1, "r_window": 10, "delta_window": 5}
             assert outs[-1]["inputs"]
         for manifest in outs:
             manifest.pop("started_at")

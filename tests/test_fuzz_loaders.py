@@ -15,9 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from seqplace.cli import _load_scores_csv
 from seqplace.core import DescriptorSequence, FormatError, ModelConfig, PoseSequence
-from seqplace.ingest import load_descriptors, load_ground_truth, load_poses
+from seqplace.ingest import load_descriptors, load_ground_truth, load_poses, load_scores
 from seqplace.spl import (CKPT_MAGIC, CKPT_VERSION, SplModel, build_model, load_checkpoint,
                           save_checkpoint)
 
@@ -111,8 +110,12 @@ def test_ground_truth(tmp_path, blob):
 @example(blob=b"query,predicted,confidence\n0,-1,0.5")
 @example(blob=b"query,predicted,confidence\n0,99999999999999999999,0.5")
 @example(blob=b"query,predicted,confidence\n0,3,nan")
+# query columns that do not count 0,1,2,...
+@example(blob=b"query,predicted,confidence\n7,3,0.5\n7,1,0.25")
+@example(blob=b"query,predicted,confidence\n0,3,0.5\nbanana,2,0.1")
+@example(blob=b"query,predicted,confidence\n0,3,0.5\n99999999999999999999,2,0.1")
 def test_scores_csv(tmp_path, blob):
-    loaded = load_bytes(tmp_path, "s.csv", blob, _load_scores_csv)
+    loaded = load_bytes(tmp_path, "s.csv", blob, load_scores)
     if loaded is not None:
         predicted, confidence = loaded
         assert predicted.dtype == np.int64 and predicted.shape == confidence.shape
@@ -188,7 +191,7 @@ def test_valid_checkpoint_loads(tmp_path, blob):
 
 def test_non_utf8_text_is_format_error(tmp_path):
     for name, loader in (("d.csv", load_descriptors), ("p.csv", load_poses),
-                         ("gt.csv", load_ground_truth), ("s.csv", _load_scores_csv)):
+                         ("gt.csv", load_ground_truth), ("s.csv", load_scores)):
         path = tmp_path / name
         path.write_bytes(b"\xff\xfe1,2\n")
         with pytest.raises(FormatError, match="not UTF-8"):

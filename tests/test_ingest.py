@@ -1,19 +1,59 @@
 import numpy as np
 import pytest
 
-from seqplace.core import DescriptorSequence, FormatError, PoseSequence, ValidationError, seeded_rng
+from seqplace.core import (DescriptorSequence, FormatError, MatchScores, PoseSequence,
+                           ValidationError, seeded_rng)
 from seqplace.ingest import (
     apply_standardization,
     load_descriptors,
     load_ground_truth,
     load_poses,
+    load_scores,
     perturb_query,
+    read_table,
     save_descriptors,
     save_ground_truth,
     save_poses,
+    save_scores,
     standardize_poses,
     synth_traverse,
+    write_table,
 )
+
+
+class TestTables:
+    def test_round_trip_bit_exact(self, tmp_path):
+        ints = [0, -1, 2**63 - 1, -2**63]
+        floats = [5e-324, -0.0, 1.7976931348623157e308, 0.1]
+        path = tmp_path / "t.csv"
+        write_table(path, "a,b", zip(ints, floats))
+        assert path.read_text().splitlines() == ["a,b"] + [f"{i},{f!r}" for i, f in
+                                                           zip(ints, floats)]
+        (a, b), lines = read_table(path, "a,b", (int, float))
+        assert a.dtype == np.int64 and a.tolist() == ints
+        assert b.dtype == np.float64 and [float(v).hex() for v in b] == \
+            [v.hex() for v in floats]
+        assert list(lines) == [2, 3, 4, 5]
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a, b\r\n\r\n 1,2 \r\n\n3,4\n\n")
+        (a, b), lines = read_table(path, "a,b", (int, float))
+        assert a.tolist() == [1, 3] and b.tolist() == [2.0, 4.0]
+        assert list(lines) == [3, 5]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2\n\n3\n", r"t.csv:4: expected 2"),
+        ("1,2\n2.5,3\n", r"t.csv:3: bad int64 value '2.5'"),
+        ("1,2\n9223372036854775808,3\n", r"t.csv:3: bad int64"),
+        ("1,x\n", r"t.csv:2: bad float64 value 'x'"),
+        ("\n", r"no rows"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(FormatError, match=message):
+            read_table(path, "a,b", (int, float))
 
 
 class TestDescriptorFiles:
@@ -100,6 +140,24 @@ class TestGroundTruthFiles:
         path.write_text("query,ref\n0,0\n2,2\n")
         with pytest.raises(FormatError):
             load_ground_truth(path)
+
+
+class TestScoresFiles:
+    def test_round_trip(self, tmp_path):
+        scores = MatchScores(seeded_rng(11).random((6, 4)))
+        path = tmp_path / "s.csv"
+        save_scores(path, scores)
+        predicted, confidence = load_scores(path)
+        assert np.array_equal(predicted, scores.predicted)
+        assert np.array_equal(confidence, scores.confidence)
+
+    @pytest.mark.parametrize("body", ["7,3,0.5\n7,1,0.25\n", "0,3,0.5\nbanana,2,0.1\n",
+                                      "1,3,0.5\n"], ids=["repeated", "not-a-number", "gap"])
+    def test_query_column_must_count(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_text("query,predicted,confidence\n" + body)
+        with pytest.raises(FormatError):
+            load_scores(path)
 
 
 class TestStandardization:
