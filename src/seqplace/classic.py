@@ -88,46 +88,54 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
                 d.sum(axis=1, out=matrix[i, j0:j1])
     else:
         for name, rows in (("reference", a), ("query", b)):
-            norms = np.linalg.norm(rows, axis=1)
+            norms = np.linalg.norm(rows, axis=1, keepdims=True)
             if (norms == 0).any():
-                frame = int(np.argmax(norms == 0))
-                raise ValidationError(
-                    f"zero-norm descriptor at {name} frame {frame}: cosine undefined"
-                )
-        a = a / np.linalg.norm(a, axis=1, keepdims=True)
-        b = b / np.linalg.norm(b, axis=1, keepdims=True)
+                raise ValidationError(f"zero-norm descriptor at {name} frame "
+                                      f"{int(np.argmax(norms == 0))}: cosine undefined")
+            rows /= norms  # a and b are this function's own float64 copies
         matrix = np.clip(1.0 - a @ b.T, 0.0, 2.0)
     return matrix
 
 
 def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     """Normalize each entry against the mean/std of the r_window rows
-    around it within its column: (D - mu_local) / (sigma_local + 1e-9)."""
+    around it within its column: (D - mu_local) / (sigma_local + 1e-9). Blocks
+    of columns fill a (n_cols, n_rows) C-contiguous array, returned as its .T."""
     if r_window < 2:
         raise ValidationError(f"r_window must be at least 2, got {r_window}")
     d = np.asarray(matrix, dtype=np.float64)
     r_window = int(r_window)
-    n_rows = d.shape[0]
+    n_rows, n_cols = d.shape
     w = min(r_window, n_rows)
     lo = np.clip(np.arange(n_rows) - r_window // 2, 0, n_rows - w)
-    # per-column offset keeps the cumulative sums well conditioned (the
-    # normalization is shift-invariant, and constant columns become exact)
-    shifted = d - d[:1]
-    s = np.zeros((n_rows + 1, d.shape[1]))
-    np.cumsum(shifted, axis=0, out=s[1:])
-    s2 = np.zeros_like(s)
-    np.cumsum(shifted * shifted, axis=0, out=s2[1:])
-    mean = (s[lo + w] - s[lo]) / w
-    var = np.maximum((s2[lo + w] - s2[lo]) / w - mean * mean, 0.0)
-    return (shifted - mean) / (np.sqrt(var) + ENHANCE_EPS)
+    out = np.empty((n_cols, n_rows))
+    block = max(1, BLOCK_BYTES // (8 * n_rows))
+    for j0 in range(0, n_cols, block):
+        # per-column offset keeps the cumulative sums well conditioned (the
+        # normalization is shift-invariant, and constant columns become exact)
+        shifted = out[j0:j0 + block]
+        np.subtract(d[:, j0:j0 + block].T, d[:1, j0:j0 + block].T, out=shifted)
+        s = np.zeros((shifted.shape[0], n_rows + 1))
+        np.cumsum(shifted, axis=1, out=s[:, 1:])
+        s2 = np.zeros_like(s)
+        np.cumsum(shifted * shifted, axis=1, out=s2[:, 1:])
+        mean = (s[:, lo + w] - s[:, lo]) / w
+        var = np.maximum((s2[:, lo + w] - s2[:, lo]) / w - mean * mean, 0.0)
+        np.divide(shifted - mean, np.sqrt(var) + ENHANCE_EPS, out=shifted)
+    return out.T
 
 
-def _minmax_rescale(values: np.ndarray) -> np.ndarray:
+def _negate_rescale(values: np.ndarray) -> np.ndarray:
+    """Negate and min-max rescale values to [0, 1] in place (constant: all ones)."""
+    np.negative(values, out=values)
     lo = values.min()
     hi = values.max()
     if hi == lo:
-        return np.ones_like(values)
-    return (values - lo) / (hi - lo)
+        values[...] = 1.0
+    else:
+        values -= lo
+        values /= hi - lo
+    return values
 
 
 def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
@@ -151,14 +159,10 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
     # capped at n_ref: any larger offset also reads row 0 for every endpoint
     offsets = np.rint(np.outer(velocity_grid(cfg), np.arange(ds)))
     offsets = np.minimum(offsets, n_ref).astype(np.int64)
-    pad = int(offsets.max())
-    # etp[j] is query j's column left-padded with pad copies of its row-0
-    # entry, so step k of velocity v's lines ending at i = 0..n_ref-1 is the
-    # contiguous slice etp[j - k, pad - offset : pad - offset + n_ref]
-    etp = np.empty((n_query, pad + n_ref))
-    etp[:, :pad] = enhanced[0][:, None]
-    etp[:, pad:] = enhanced.T
-    starts = pad - offsets
+    # et[j] is query j's column, a view of what contrast_enhance returns; step
+    # k at offset o adds et[j - k, i - o] to the line ending at i >= o, and
+    # et[j - k, 0] to the lines ending before o
+    et = np.ascontiguousarray(enhanced.T)
     raw = np.zeros((n_query, n_ref))
     raw[ds - 1:] = np.inf
     block = max(1, BLOCK_BYTES // (8 * n_ref))
@@ -166,22 +170,28 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
     for j0 in range(ds - 1, n_query, block):
         j1 = min(j0 + block, n_query)
         lines = acc[:j1 - j0]
+        flat = lines.reshape(-1)
         best = raw[j0:j1]
-        for line_starts in starts:
+        for line_offsets in offsets:
             lines[:] = 0.0
-            for k, s in enumerate(line_starts):
-                lines += etp[j0 - k:j1 - k, s:s + n_ref]
+            for k, o in enumerate(line_offsets):
+                rows = et[j0 - k:j1 - k]
+                # one contiguous add shifts the block by o; the first o entries
+                # of a row, which it fills from the row above, are then rebuilt
+                head = lines[:, :o].copy()
+                flat[o:] += rows.reshape(-1)[:flat.size - o]
+                np.add(head, rows[:, :1], out=lines[:, :o])
             lines /= ds
             np.minimum(best, lines, out=best)
-    scores = np.zeros_like(raw)
-    scores[ds - 1:] = _minmax_rescale(-raw[ds - 1:])
-    return MatchScores.from_scores(scores)
+    _negate_rescale(raw[ds - 1:])
+    return MatchScores.from_scores(raw)
 
 
 def pairwise_match(matrix) -> MatchScores:
     """Single-frame matching: best place per query is the smallest distance;
     confidence is one minus the min-max normalized distance."""
-    return MatchScores.from_scores(_minmax_rescale(-np.asarray(matrix).T.astype(np.float64)))
+    scores = np.array(np.asarray(matrix).T, dtype=np.float64, order="C")
+    return MatchScores.from_scores(_negate_rescale(scores))
 
 
 def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:
@@ -199,16 +209,11 @@ def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:
     data = desc.data.astype(np.float64)
     sums = np.zeros((n + 1, desc.dim))
     np.cumsum(data, axis=0, out=sums[1:])
-    out = np.empty_like(data)
     # valid range: both half-windows fit, t in [w, n-w]
     t = np.arange(w, n - w + 1)
-    ahead = (sums[t + w] - sums[t]) / w
-    behind = (sums[t] - sums[t - w]) / w
-    delta = ahead - behind
+    delta = (sums[t + w] - sums[t]) / w - (sums[t] - sums[t - w]) / w
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     delta /= norms
-    out[w:n - w + 1] = delta
-    out[:w] = delta[0]
-    out[n - w + 1:] = delta[-1]
+    out = np.pad(delta, ((w, w - 1), (0, 0)), mode="edge")
     return DescriptorSequence(data=out.astype(np.float32))

@@ -197,9 +197,7 @@ def cmd_match(args) -> int:
 
     ref = load_descriptors(args.ref)
     query = load_descriptors(args.query)
-    metric = args.metric
-    if metric is None:
-        metric = "sad" if args.method == "seqslam" else "cosine"
+    metric = args.metric or ("sad" if args.method == "seqslam" else "cosine")
     # every method records, and so validates, the line-search settings
     cfg = SeqSlamConfig(ds=args.ds, v_min=args.vmin, v_max=args.vmax,
                         v_step=args.vstep, r_window=args.rwindow)
@@ -213,7 +211,8 @@ def cmd_match(args) -> int:
     if args.export_matrix:
         save_descriptors(args.export_matrix, DescriptorSequence(data=sim))
     if args.method == "seqslam":
-        scores = seqslam_match(contrast_enhance(sim, cfg.r_window), cfg)
+        sim = contrast_enhance(sim, cfg.r_window)  # frees the raw matrix
+        scores = seqslam_match(sim, cfg)
     else:
         scores = pairwise_match(sim)
     save_scores(args.out, scores)
@@ -262,7 +261,7 @@ def cmd_bench(args) -> int:
     from .classic import SeqSlamConfig, contrast_enhance, pairwise_match, seqslam_match, similarity_matrix
     from .core import DescriptorSequence, ModelConfig, PoseSequence, ValidationError
     from .evaluate import bench_latency, write_latency_json
-    from .ingest import perturb_query, synth_traverse
+    from .ingest import SyntheticEnv, perturb_query, synth_traverse
     from .spl import build_model, infer
 
     try:
@@ -276,8 +275,8 @@ def cmd_bench(args) -> int:
             raise ValidationError(f"unknown method {method!r}; choose from {sorted(known)}")
     if not sizes or not methods:
         raise ValidationError("--sizes and --methods must be non-empty")
-    if args.queries <= args.tw:
-        raise ValidationError("--queries must exceed --tw")
+    if args.queries <= max(args.tw, 3):
+        raise ValidationError("--queries must exceed --tw and be at least 4")
     params = {"sizes": sizes, "methods": methods, "dim": args.dim,
               "hidden": args.hidden, "tw": args.tw, "reps": args.reps,
               "queries": args.queries}
@@ -287,11 +286,14 @@ def cmd_bench(args) -> int:
         if n_ref <= args.tw:
             raise ValidationError(f"size {n_ref} must exceed tw={args.tw}")
         env = synth_traverse(n_ref, args.dim, args.seed, smoothness=0.8)
-        query, _ = perturb_query(env, 0.05, 1.0, args.seed + 1)
-        qdesc = DescriptorSequence(data=query.descriptors.data[:args.queries])
-        qpose = PoseSequence(data=query.poses.data[:args.queries])
-        dataset = (qdesc, qpose)
+        # at speed 1.0 query frame q comes from reference frame q: perturb only those
+        kept = SyntheticEnv(DescriptorSequence(data=env.descriptors.data[:args.queries]),
+                            PoseSequence(data=env.poses.data[:args.queries]))
+        query, _ = perturb_query(kept, 0.05, 1.0, args.seed + 1)
+        dataset = (query.descriptors, query.poses)
         for method in methods:
+            # spl scores one window of tw frames per start frame
+            n_queries = query.descriptors.n_frames - (args.tw if method == "spl" else 0)
             if method == "spl":
                 cfg = ModelConfig.for_traversal(
                     n_ref, args.tw, variant="spl", descriptor_dim=args.dim,
@@ -300,22 +302,17 @@ def cmd_bench(args) -> int:
 
                 def matcher(ds, model=model):
                     return infer(model, ds[0], ds[1])
-
-                n_queries = qdesc.n_frames - args.tw
             elif method == "seqslam":
                 cfg = SeqSlamConfig(ds=args.tw)
 
                 def matcher(ds, env=env, cfg=cfg):
                     sim = similarity_matrix(env.descriptors, ds[0], metric="sad")
-                    return seqslam_match(contrast_enhance(sim, cfg.r_window), cfg)
-
-                n_queries = qdesc.n_frames
+                    sim = contrast_enhance(sim, cfg.r_window)
+                    return seqslam_match(sim, cfg)
             else:
                 def matcher(ds, env=env):
                     return pairwise_match(similarity_matrix(env.descriptors, ds[0],
                                                             metric="cosine"))
-
-                n_queries = qdesc.n_frames
             reports.append(bench_latency(matcher, dataset, args.reps,
                                          n_queries=n_queries,
                                          name=method, n_frames=n_ref))

@@ -44,6 +44,8 @@ def _owned(values, dtype) -> np.ndarray:
 
 
 def _first_bad(data: np.ndarray):
+    if np.isfinite((data.min(), data.max())).all():  # no mask unless one is bad
+        return None
     bad = ~np.isfinite(data)
     if bad.any():
         return tuple(int(k) for k in np.argwhere(bad)[0])

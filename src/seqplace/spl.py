@@ -367,13 +367,10 @@ def load_checkpoint(path) -> SplModel:
     if tag not in _TAG_VARIANTS:
         raise FormatError(f"{path}: unknown variant tag {tag}")
     variant = _TAG_VARIANTS[tag]
-    offset = _CKPT_HEAD.size
-    (pose_weight,) = struct.unpack_from("<d", blob, offset)
-    offset += 8
-    pose_mu = np.frombuffer(blob, dtype="<f8", count=2, offset=offset).copy()
-    offset += 16
-    pose_sigma = np.frombuffer(blob, dtype="<f8", count=2, offset=offset).copy()
-    offset += 16
+    (pose_weight,) = struct.unpack_from("<d", blob, _CKPT_HEAD.size)
+    pose_mu, pose_sigma = np.frombuffer(
+        blob, dtype="<f8", count=4, offset=_CKPT_HEAD.size + 8).reshape(2, 2).copy()
+    offset = base
     if not (np.isfinite(pose_mu).all() and np.isfinite(pose_sigma).all()):
         raise FormatError(f"{path}: non-finite pose standardization statistics")
     try:
@@ -396,12 +393,8 @@ def load_checkpoint(path) -> SplModel:
         offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} unexpected trailing bytes")
-    env = nn.LstmParams(w_x=tensors[0], w_h=tensors[1], b=tensors[2])
-    if variant == "spl":
-        second = nn.LstmParams(w_x=tensors[3], w_h=tensors[4], b=tensors[5])
-        w_out, b_out = tensors[6], tensors[7]
-    else:
-        second = None
-        w_out, b_out = tensors[3], tensors[4]
+    env = nn.LstmParams(*tensors[:3])
+    second = nn.LstmParams(*tensors[3:6]) if variant == "spl" else None
+    w_out, b_out = tensors[-2:]
     return SplModel(config=cfg, env_lstm=env, spl_lstm=second,
                     w_out=w_out, b_out=b_out, pose_mu=pose_mu, pose_sigma=pose_sigma)

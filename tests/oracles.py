@@ -146,6 +146,25 @@ def enhance_brute(d, r_window):
     return out
 
 
+def enhance_whole(d, r_window):
+    """Contrast enhancement on the whole matrix at once: cumulative sums of
+    the column-offset matrix down every column, then the windowed mean and
+    variance. Every entry goes through the same float64 operations as in
+    the library's column-blocked loop, so this is its exact reference."""
+    d = np.asarray(d, dtype=np.float64)
+    n_rows = d.shape[0]
+    w = min(r_window, n_rows)
+    lo = np.clip(np.arange(n_rows) - r_window // 2, 0, n_rows - w)
+    shifted = d - d[:1]
+    s = np.zeros((n_rows + 1, d.shape[1]))
+    np.cumsum(shifted, axis=0, out=s[1:])
+    s2 = np.zeros_like(s)
+    np.cumsum(shifted * shifted, axis=0, out=s2[1:])
+    mean = (s[lo + w] - s[lo]) / w
+    var = np.maximum((s2[lo + w] - s2[lo]) / w - mean * mean, 0.0)
+    return (shifted - mean) / (np.sqrt(var) + 1e-9)
+
+
 def line_scores_brute(enhanced, ds, velocities):
     """Raw minimum-over-velocities line means, zeros for j < ds - 1.
 

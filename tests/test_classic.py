@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import delta_brute, enhance_brute, sad_brute, sad_rowloop, seqslam_scores_brute
+from oracles import (delta_brute, enhance_brute, enhance_whole, sad_brute, sad_rowloop,
+                     seqslam_scores_brute)
 from seqplace import classic
 from seqplace.classic import (
     SeqSlamConfig,
@@ -94,6 +97,22 @@ class TestContrastEnhance:
         d = rng.uniform(0, 4, (17, 9))
         for r in (2, 4, 10, 30):
             assert np.allclose(contrast_enhance(d, r), enhance_brute(d, r), atol=1e-9)
+
+    @pytest.mark.parametrize("block_columns", [1, 7, None])
+    def test_blocked_equals_whole_matrix_formula(self, monkeypatch, block_columns):
+        # column counts that are not a whole number of blocks, maps shorter
+        # than the window, a constant column; None keeps the library's own
+        # block budget, which holds 16 columns of a 2000-row map
+        cases = [(40, 23, 10), (6, 11, 10), (3, 8, 4), (2000, 37, 10)]
+        rng = seeded_rng(17)
+        for n_rows, n_cols, r_window in cases:
+            if block_columns is not None:
+                monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * n_rows * block_columns)
+            d = rng.uniform(0, 4, (n_rows, n_cols)) + rng.uniform(0, 50, n_cols)
+            d[:, n_cols // 2] = 2.5
+            got = contrast_enhance(d, r_window)
+            assert got.shape == (n_rows, n_cols) and got.dtype == np.float64
+            assert np.array_equal(got, enhance_whole(d, r_window))
 
     def test_single_outlier_becomes_most_negative(self):
         d = np.full((15, 1), 2.0)
@@ -279,3 +298,37 @@ class TestDeltaDescriptors:
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             delta_descriptors(DescriptorSequence(data=np.ones((6, 2), np.float32)), 3)
+
+
+class TestInputsAndMemory:
+    @pytest.mark.parametrize("stage", ["contrast_enhance", "seqslam_match", "pairwise_match"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_read_only_input_left_unchanged(self, stage, layout):
+        run = {
+            "contrast_enhance": lambda m: contrast_enhance(m, 4),
+            "seqslam_match": lambda m: seqslam_match(m, SeqSlamConfig(ds=3, r_window=4)),
+            "pairwise_match": pairwise_match,
+        }[stage]
+        rng = seeded_rng(18)
+        matrix = np.array(rng.uniform(0, 3, (30, 12)), order=layout)
+        before = matrix.tobytes(order="A")
+        matrix.flags.writeable = False
+        run(matrix)
+        assert matrix.tobytes(order="A") == before
+
+    def test_allocations_bounded_by_outputs(self):
+        # the enhanced matrix and the line-search scores for seqslam, the
+        # scores alone for pairwise, plus block-sized work buffers
+        rng = seeded_rng(19)
+        matrix = rng.uniform(0, 4, (2000, 500))
+        for run, n_arrays in (
+            (lambda: seqslam_match(contrast_enhance(matrix, 10), SeqSlamConfig()), 2),
+            (lambda: pairwise_match(matrix), 1),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= n_arrays * matrix.nbytes + (1 << 20)

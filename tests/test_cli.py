@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from seqplace.classic import similarity_matrix
 from seqplace.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqplace.ingest import load_descriptors, load_ground_truth, load_poses
 from seqplace.spl import load_checkpoint, save_checkpoint
@@ -346,14 +347,22 @@ class TestMatch:
         assert list(tmp_path.iterdir()) == []
 
     def test_export_matrix_round_trips(self, synth_dir, tmp_path):
-        matrix_path = tmp_path / "matrix.spld"
-        code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
-                   "--query", str(synth_dir / "query_descriptors.spld"),
-                   "--method", "pairwise", "--export-matrix", str(matrix_path),
-                   "--out", str(tmp_path / "scores.csv"))
-        assert code == EXIT_OK
-        matrix = load_descriptors(matrix_path)
-        assert matrix.n_frames == 120  # one row per reference frame
+        # seqslam drops its similarity matrix once enhanced; the export is
+        # the matrix as computed, equal to the library's and pairwise's
+        ref = load_descriptors(synth_dir / "ref_descriptors.spld")
+        query = load_descriptors(synth_dir / "query_descriptors.spld")
+        want = similarity_matrix(ref, query, metric="sad").astype(np.float32)
+        for method in ("pairwise", "seqslam"):
+            matrix_path = tmp_path / f"{method}.spld"
+            code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
+                       "--query", str(synth_dir / "query_descriptors.spld"),
+                       "--method", method, "--metric", "sad",
+                       "--export-matrix", str(matrix_path),
+                       "--out", str(tmp_path / f"{method}.csv"))
+            assert code == EXIT_OK
+            matrix = load_descriptors(matrix_path)
+            assert matrix.n_frames == 120  # one row per reference frame
+            assert np.array_equal(matrix.data, want)
 
 
 class TestBench:
@@ -372,6 +381,14 @@ class TestBench:
     def test_unknown_method_rejected(self, tmp_path):
         code = run("bench", "--methods", "spl,hmm", "--out", str(tmp_path / "x.json"))
         assert code == EXIT_USAGE
+
+    def test_fewer_than_four_queries_rejected(self, tmp_path):
+        # the kept query frames are perturbed on their own, and a perturbed
+        # traversal needs at least 4 frames
+        code = run("bench", "--sizes", "60", "--tw", "1", "--queries", "3",
+                   "--out", str(tmp_path / "x.json"))
+        assert code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

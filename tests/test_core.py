@@ -144,6 +144,13 @@ class TestMatchScores:
             with pytest.raises(NumericsError, match="query 2, place 1"):
                 MatchScores.from_scores(scores)
 
+    def test_extreme_finite_values_accepted(self):
+        scores = np.full((3, 4), 1e308)
+        scores[1, 2] = 1.5e308
+        assert MatchScores.from_scores(scores).predicted.tolist() == [0, 2, 0]
+        data = np.full((2, 3), 3e38, dtype=np.float32)
+        assert DescriptorSequence(data=data).n_frames == 2
+
 
 class TestPrCurve:
     def test_recall_must_not_decrease(self):
