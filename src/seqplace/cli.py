@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -220,7 +221,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .core import ValidationError
+    from .core import PrCurve, ValidationError
     from .evaluate import GroundTruth, pr_curve_from_arrays, write_auc_csv, write_pr_csv
     from .ingest import load_ground_truth, load_poses, load_scores
 
@@ -241,19 +242,16 @@ def cmd_eval(args) -> int:
         ref_poses = load_poses(args.ref_poses).data
         inputs.append(args.ref_poses)
     radii = _parse_radii(args)
-    gts = [GroundTruth(map=gt_map, tolerance_kind=kind, radius=float(radius))
-           for radius in radii]
-    params = {"kind": kind, "radii": radii}
-    manifest = _start_manifest("eval", params, inputs, None)
-    rows = []
-    for radius, gt in zip(radii, gts):
-        curve = pr_curve_from_arrays(predicted, confidence, gt, ref_poses=ref_poses)
-        rows.append((float(radius), curve.auc))
+    gt = GroundTruth(map=gt_map, tolerance_kind=kind, radius=radii)
+    manifest = _start_manifest("eval", {"kind": kind, "radii": radii}, inputs, None)
+    curves = pr_curve_from_arrays(predicted, confidence, gt, ref_poses=ref_poses)
+    for i, radius in enumerate(radii):
         if len(radii) <= 5:
-            write_pr_csv(f"{args.out}_pr_r{radius:g}.csv", curve)
-        print(f"radius={radius:g} auc={curve.auc:.6f} "
-              f"max_recall_at_full_precision={curve.max_recall_at_full_precision:.6f}")
-    write_auc_csv(f"{args.out}_auc.csv", rows)
+            write_pr_csv(f"{args.out}_pr_r{radius:g}.csv",
+                         PrCurve(curves.threshold, curves.precision[i], curves.recall[i]))
+        print(f"radius={radius:g} auc={curves.auc[i]:.6f} "
+              f"max_recall_at_full_precision={curves.max_recall_at_full_precision[i]:.6f}")
+    write_auc_csv(f"{args.out}_auc.csv", zip(map(float, radii), curves.auc.tolist()))
     return _finish(manifest, args.out)
 
 
@@ -325,13 +323,13 @@ def cmd_bench(args) -> int:
 
 # --- parser ---------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser as it was and makes a new namespace
 def build_parser() -> _Parser:
     parser = _Parser(prog="seqplace",
                      description="Sequence-based place recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic traversal",
-                       add_help=True)
+    p = sub.add_parser("synth", help="generate a synthetic traversal")
     p.add_argument("--frames", type=int, required=True, help="number of frames")
     p.add_argument("--dim", type=int, default=32, help="descriptor dimension")
     p.add_argument("--seed", type=int, default=0)

@@ -231,39 +231,42 @@ class MatchScores:
 
 @dataclass(frozen=True)
 class PrCurve:
-    """Threshold-swept precision/recall points, descending threshold order.
+    """Threshold-swept precision/recall points, descending threshold order:
+    one curve, or a stack of curves over the same thresholds, one row each.
 
-    Derives auc, the trapezoid area over recall anchored at (0, first
-    precision) and summed in point order, and max_recall_at_full_precision,
-    the largest recall where precision is 1.0 (0.0 when there is none).
+    Derives, along the last axis, auc, the trapezoid area over recall
+    anchored at (0, first precision) and summed in point order, and
+    max_recall_at_full_precision, the largest recall where precision is 1.0
+    (0.0 when there is none): floats for one curve, one per row for a stack.
     """
 
     threshold: np.ndarray  # (n_points,)
-    precision: np.ndarray  # (n_points,)
-    recall: np.ndarray     # (n_points,)
-    auc: float = field(init=False)
-    max_recall_at_full_precision: float = field(init=False)
+    precision: np.ndarray  # (n_points,) or (n_curves, n_points)
+    recall: np.ndarray     # shaped like precision
+    auc: float | np.ndarray = field(init=False)
+    max_recall_at_full_precision: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         threshold = _owned(self.threshold, np.float64)
         precision = _owned(self.precision, np.float64)
         recall = _owned(self.recall, np.float64)
-        if not (precision.ndim == 1 and precision.size >= 1
-                and threshold.shape == precision.shape == recall.shape):
+        if not (threshold.ndim == 1 and precision.ndim in (1, 2) and precision.size >= 1
+                and recall.shape == precision.shape and precision.shape[-1:] == threshold.shape):
             raise ValidationError("a PR curve needs equal-length, non-empty point vectors")
         if not (((precision >= 0.0) & (precision <= 1.0)).all()
                 and ((recall >= 0.0) & (recall <= 1.0)).all()):
             raise ValidationError("precision and recall must lie in [0, 1]")
         if (np.diff(recall) < -1e-12).any():
             raise ValidationError("recall must be non-decreasing as threshold drops")
-        last_recall = np.concatenate(([0.0], recall[:-1]))
-        last_precision = np.concatenate((precision[:1], precision[:-1]))
+        last_recall = np.concatenate((np.zeros_like(recall[..., :1]), recall[..., :-1]), -1)
+        last_precision = np.concatenate((precision[..., :1], precision[..., :-1]), -1)
         # cumsum adds in point order; np.sum's pairwise order changes the bits
-        area = np.cumsum((recall - last_recall) * (precision + last_precision) / 2.0)[-1]
-        best = recall[precision == 1.0].max(initial=0.0)
+        area = np.cumsum((recall - last_recall) * (precision + last_precision) / 2.0, -1)[..., -1]
+        best = recall.max(-1, initial=0.0, where=precision == 1.0)
+        auc, best = (float(v) if v.ndim == 0 else _owned(v, np.float64) for v in (area, best))
         for name, value in (("threshold", threshold), ("precision", precision),
-                            ("recall", recall), ("auc", float(area)),
-                            ("max_recall_at_full_precision", float(best))):
+                            ("recall", recall), ("auc", auc),
+                            ("max_recall_at_full_precision", best)):
             object.__setattr__(self, name, value)
 
 

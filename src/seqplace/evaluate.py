@@ -22,11 +22,12 @@ class GroundTruth:
     In frames mode a prediction is correct when |predicted - map| <= radius;
     in meters mode when the predicted and true reference poses are within
     radius of each other (reference poses supplied at evaluation time).
+    radius is one tolerance, or a vector of them for a sweep.
     """
 
     map: np.ndarray
     tolerance_kind: str = "frames"
-    radius: float = 0.0
+    radius: float | np.ndarray = 0.0
 
     def __post_init__(self):
         gt = np.array(self.map, dtype=np.int64)
@@ -38,10 +39,12 @@ class GroundTruth:
             raise ValidationError(
                 f"tolerance_kind must be one of {TOLERANCE_KINDS}, got {self.tolerance_kind!r}"
             )
-        if not (np.isfinite(self.radius) and self.radius >= 0):
-            raise ValidationError(f"radius must be finite and non-negative, got {self.radius}")
-        gt.flags.writeable = False
+        radius = np.array(self.radius, dtype=np.float64)
+        if radius.ndim > 1 or radius.size < 1 or not (np.isfinite(radius) & (radius >= 0)).all():
+            raise ValidationError(f"radius must be finite non-negative numbers, got {self.radius}")
+        gt.flags.writeable = radius.flags.writeable = False
         object.__setattr__(self, "map", gt)
+        object.__setattr__(self, "radius", float(radius) if radius.ndim == 0 else radius)
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,14 @@ class LatencyReport:
         return min(self.rep_seconds) / self.n_queries * 1e6
 
 
-def _correct_mask(predicted: np.ndarray, gt: GroundTruth, ref_poses) -> np.ndarray:
+def _errors(predicted: np.ndarray, gt: GroundTruth, ref_poses) -> np.ndarray:
+    """Each query's distance from its true place, in gt's tolerance units."""
     if gt.map.shape[0] != predicted.shape[0]:
         raise ValidationError(
             f"{predicted.shape[0]} score rows but {gt.map.shape[0]} ground-truth entries"
         )
     if gt.tolerance_kind == "frames":
-        return np.abs(predicted - gt.map) <= gt.radius
+        return np.abs(predicted - gt.map)
     if ref_poses is None:
         raise ValidationError("meters-mode evaluation needs reference poses")
     ref_poses = np.asarray(ref_poses, dtype=np.float64)
@@ -99,8 +103,7 @@ def _correct_mask(predicted: np.ndarray, gt: GroundTruth, ref_poses) -> np.ndarr
         raise ValidationError(
             f"reference poses cover {ref_poses.shape[0]} frames but index {needed} is needed"
         )
-    dist = np.linalg.norm(ref_poses[predicted] - ref_poses[gt.map], axis=1)
-    return dist <= gt.radius
+    return np.linalg.norm(ref_poses[predicted] - ref_poses[gt.map], axis=1)
 
 
 def pr_curve_from_arrays(predicted, confidence, gt: GroundTruth, ref_poses=None) -> PrCurve:
@@ -108,21 +111,26 @@ def pr_curve_from_arrays(predicted, confidence, gt: GroundTruth, ref_poses=None)
 
     A query is retrieved when its confidence meets the threshold; retrieved
     queries within tolerance are true positives. Precision is TP over
-    retrieved, recall TP over all queries.
+    retrieved, recall TP over all queries. A vector gt.radius gives a stack
+    of curves, one row per radius, from one ranking of the confidences:
+    with T distinct confidences and R radii, the sweep holds a few (R, T)
+    arrays besides vectors of one entry per query.
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     confidence = np.asarray(confidence, dtype=np.float64)
     if predicted.shape != confidence.shape or predicted.ndim != 1:
         raise ValidationError("predicted and confidence must be equal-length vectors")
-    correct = _correct_mask(predicted, gt, ref_poses)
-    order = np.argsort(-confidence, kind="stable")
-    cum_tp = np.cumsum(correct[order])
-    thresholds = np.unique(confidence)[::-1]
-    # queries with confidence >= threshold, for each threshold; every
-    # threshold is some query's confidence, so at least one
-    retrieved = np.searchsorted(-confidence[order], -thresholds, side="right")
-    tp = cum_tp[retrieved - 1]
-    return PrCurve(threshold=thresholds, precision=tp / retrieved,
+    error = _errors(predicted, gt, ref_poses)
+    # the thresholds, -values, are the distinct confidences, highest first
+    values, rank, counts = np.unique(-confidence, return_inverse=True, return_counts=True)
+    ordered = np.sort(np.atleast_1d(gt.radius))
+    # hits[k, t]: queries at threshold t whose smallest tolerating radius is
+    # ordered[k] (last row: none is); summed over both axes, true positives
+    hits = np.bincount(np.searchsorted(ordered, error) * values.size + rank,
+                       minlength=(ordered.size + 1) * values.size).reshape(-1, values.size)
+    tp = hits[:-1].cumsum(0).cumsum(1)[np.searchsorted(ordered, gt.radius)]
+    retrieved = np.cumsum(counts)  # queries with confidence >= threshold
+    return PrCurve(threshold=-values, precision=tp / retrieved,
                    recall=tp / confidence.shape[0])
 
 

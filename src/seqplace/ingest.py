@@ -232,14 +232,15 @@ def synth_traverse(n_frames: int, dim: int, seed: int,
     if not 0.0 <= smoothness < 1.0:
         raise ValidationError(f"smoothness must lie in [0, 1), got {smoothness}")
     rng = seeded_rng(seed)
-    desc = np.empty((n_frames, dim))
+    # float32 rows; the recurrence keeps only the previous row, in float64
+    desc = np.empty((n_frames, dim), dtype=np.float32)
     step = rng.standard_normal(dim)
-    desc[0] = step / np.linalg.norm(step)
+    desc[0] = row = step / np.linalg.norm(step)
     for t in range(1, n_frames):
         step = rng.standard_normal(dim)
         step /= np.linalg.norm(step)
-        blended = smoothness * desc[t - 1] + (1.0 - smoothness) * step
-        desc[t] = blended / np.linalg.norm(blended)
+        blended = smoothness * row + (1.0 - smoothness) * step
+        desc[t] = row = blended / np.linalg.norm(blended)
     heading = rng.uniform(0.0, 2.0 * np.pi)
     turn = 0.0
     pos = np.zeros((n_frames, 2))
@@ -248,7 +249,7 @@ def synth_traverse(n_frames: int, dim: int, seed: int,
         heading += turn
         pos[t] = pos[t - 1] + (np.cos(heading), np.sin(heading))
     return SyntheticEnv(
-        descriptors=DescriptorSequence(data=desc.astype(np.float32)),
+        descriptors=DescriptorSequence(data=desc),
         poses=PoseSequence(data=pos),
     )
 

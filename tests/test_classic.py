@@ -65,6 +65,28 @@ class TestSimilarityMatrix:
             d = similarity_matrix(ref, query, metric="sad")
             assert np.array_equal(d, sad_rowloop(ref.data, query.data))
 
+    @pytest.mark.parametrize("block_bytes", [8, 8 * 3 * 16, None])
+    def test_blocked_cosine_equals_whole_matrix_formula(self, block_bytes, monkeypatch):
+        # norms over row blocks of 1 and 3 rows and the default block
+        if block_bytes is not None:
+            monkeypatch.setattr(classic, "BLOCK_BYTES", block_bytes)
+        rng = seeded_rng(15)
+        ref = DescriptorSequence(data=rng.standard_normal((10, 16)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((7, 16)).astype(np.float32))
+        a, b = ref.data.astype(np.float64), query.data.astype(np.float64)
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        want = np.clip(1.0 - a @ b.T, 0.0, 2.0)
+        assert np.array_equal(similarity_matrix(ref, query, metric="cosine"), want)
+
+    @pytest.mark.parametrize("shape, dtype", [((32, 1024), np.float64), ((7, 3), np.float32),
+                                              ((1, 1), np.float64), (5, np.int64)])
+    def test_aligned_scratch_buffer(self, shape, dtype):
+        for _ in range(8):
+            buf = classic._aligned_empty(shape, dtype)
+            assert buf.ctypes.data % 64 == 0
+            assert buf.shape == np.empty(shape).shape and buf.dtype == dtype
+
     def test_transpose_symmetry(self):
         rng = seeded_rng(3)
         a = DescriptorSequence(data=rng.standard_normal((6, 4)).astype(np.float32))
@@ -332,3 +354,17 @@ class TestInputsAndMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= n_arrays * matrix.nbytes + (1 << 20)
+
+    def test_cosine_allocations_bounded_by_copies_and_output(self):
+        # the float64 copies of both inputs and the output matrix, plus
+        # block-sized work buffers: no full-size square or second matrix
+        rng = seeded_rng(20)
+        ref = DescriptorSequence(data=rng.standard_normal((2000, 512)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((100, 512)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            similarity_matrix(ref, query, metric="cosine")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2000 * 512 + 100 * 512 + 2000 * 100) + (1 << 20)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from seqplace import cli
 from seqplace.classic import similarity_matrix
 from seqplace.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqplace.ingest import load_descriptors, load_ground_truth, load_poses
@@ -201,6 +202,24 @@ class TestInferAndEval:
         values = [float(r.split(",")[1]) for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_radius_sweep_equals_single_radius_runs(self, synth_dir, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
+                   "--query", str(synth_dir / "query_descriptors.spld"),
+                   "--method", "pairwise", "--out", str(scores))
+        assert code == EXIT_OK
+        eval_args = ("eval", "--scores", str(scores), "--gt", str(synth_dir / "ground_truth.csv"))
+        capsys.readouterr()
+        assert run(*eval_args, "--radius-sweep", "1..50", "--out", str(tmp_path / "sweep")) == 0
+        sweep_rows = (tmp_path / "sweep_auc.csv").read_text().splitlines()
+        sweep_lines = capsys.readouterr().out.splitlines()
+        assert len(sweep_rows) == 51 and len(sweep_lines) == 50
+        for r in range(1, 51):
+            assert run(*eval_args, "--radius", str(r), "--out", str(tmp_path / "one")) == 0
+            assert (tmp_path / "one_auc.csv").read_text().splitlines() == ["radius,auc",
+                                                                             sweep_rows[r]]
+            assert capsys.readouterr().out.splitlines() == [sweep_lines[r - 1]]
+
     def test_eval_rejects_short_ground_truth(self, synth_dir, trained, tmp_path):
         scores = tmp_path / "scores.csv"
         run("infer", "--ckpt", str(trained),
@@ -389,6 +408,26 @@ class TestBench:
                    "--out", str(tmp_path / "x.json"))
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParser:
+    def test_one_parser_serves_independent_calls(self, synth_dir, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        common = ("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
+                  "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
+                  "--hidden", "8", "--epochs", "1")
+        assert run(*common, "--no-shuffle", "--out", str(tmp_path / "a.splm")) == EXIT_OK
+        assert run("synth", "--frames", "20", "--out", str(tmp_path / "s")) == EXIT_OK
+        assert run(*common, "--out", str(tmp_path / "b.splm")) == EXIT_OK
+        # the first call's flags neither reach another subcommand nor the second train
+        synth_args = vars(cli.build_parser().parse_args(["synth", "--frames", "20", "--out", "s"]))
+        assert "shuffle" not in synth_args and "desc" not in synth_args
+        shuffles = [read_manifest(tmp_path / f"{name}.splm.manifest.json")["parameters"]
+                    ["train"]["shuffle"] for name in "ab"]
+        assert shuffles == [False, True]
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--scores", str(tmp_path / "x.csv"))
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestManifest:

@@ -161,10 +161,32 @@ class TestPrCurve:
         with pytest.raises(ValidationError):
             PrCurve(threshold=[0.9], precision=[1.5], recall=[0.5])
 
+    def test_stack_checks_every_row(self):
+        threshold = [0.9, 0.8]
+        with pytest.raises(ValidationError, match="non-decreasing"):
+            PrCurve(threshold=threshold, precision=[[1.0, 1.0], [1.0, 1.0]],
+                    recall=[[0.25, 0.5], [0.5, 0.25]])
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            PrCurve(threshold=threshold, precision=[[1.0, 1.0], [1.0, 1.5]],
+                    recall=[[0.25, 0.5], [0.25, 0.5]])
+
+    def test_stack_derives_each_row_like_a_single_curve(self):
+        threshold = [0.9, 0.8, 0.7]
+        precision = [[1.0, 0.5, 2 / 3], [0.0, 0.5, 1 / 3], [1.0, 1.0, 1.0]]
+        recall = [[1 / 3, 1 / 3, 2 / 3], [0.0, 1 / 3, 1 / 3], [1 / 3, 2 / 3, 1.0]]
+        stack = PrCurve(threshold=threshold, precision=precision, recall=recall)
+        for i in range(3):
+            row = PrCurve(threshold=threshold, precision=precision[i], recall=recall[i])
+            assert stack.auc[i] == row.auc
+            assert stack.max_recall_at_full_precision[i] == row.max_recall_at_full_precision
+        assert stack.max_recall_at_full_precision.tolist() == [1 / 3, 0.0, 1.0]
+
     @pytest.mark.parametrize("threshold, precision, recall", [
         ([0.9, 0.8], [1.0], [0.5]),
         ([], [], []),
         ([[0.9]], [[1.0]], [[0.5]]),
+        ([0.9], [[[1.0]]], [[[0.5]]]),
+        ([0.9], [[1.0], [1.0]], [[0.5]]),
     ])
     def test_point_vectors_must_be_equal_length_and_non_empty(self, threshold,
                                                               precision, recall):

@@ -126,8 +126,9 @@ class TestPrCurve:
 
     def test_length_mismatch_rejected(self):
         m = scores_from([0, 1], [0.5, 0.4])
-        with pytest.raises(ValidationError):
-            pr_curve(m, GroundTruth(map=[0, 1, 2], radius=0))
+        for radius in (0, [0, 1]):
+            with pytest.raises(ValidationError, match="ground-truth entries"):
+                pr_curve(m, GroundTruth(map=[0, 1, 2], radius=radius))
 
     def test_meters_mode_uses_reference_poses(self):
         poses = np.array([[0.0, 0.0], [10.0, 0.0], [10.5, 0.0], [30.0, 0.0]])
@@ -142,10 +143,65 @@ class TestPrCurve:
         with pytest.raises(ValidationError, match="poses"):
             pr_curve(m, GroundTruth(map=[0], tolerance_kind="meters", radius=1.0))
 
-    @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("radius", [-1.0, np.nan, np.inf, [], [[1.0]], [1.0, -1.0],
+                                        [2.0, np.nan]])
     def test_radius_must_be_finite_and_non_negative(self, radius):
         with pytest.raises(ValidationError, match="radius"):
             GroundTruth(map=[0], radius=radius)
+
+
+class TestRadiusSweep:
+    """Each row of a sweep equals, bit for bit, the single-radius curve."""
+
+    @staticmethod
+    def assert_rows_equal_single_calls(predicted, confidence, gt_map, radii,
+                                       kind="frames", ref_poses=None):
+        sweep = pr_curve_from_arrays(
+            predicted, confidence,
+            GroundTruth(map=gt_map, tolerance_kind=kind, radius=radii), ref_poses=ref_poses)
+        assert sweep.precision.shape == sweep.recall.shape == (len(radii),
+                                                               sweep.threshold.size)
+        for i, radius in enumerate(radii):
+            single = pr_curve_from_arrays(
+                predicted, confidence,
+                GroundTruth(map=gt_map, tolerance_kind=kind, radius=radius),
+                ref_poses=ref_poses)
+            assert sweep.threshold.tolist() == single.threshold.tolist()
+            assert sweep.precision[i].tolist() == single.precision.tolist()
+            assert sweep.recall[i].tolist() == single.recall.tolist()
+            assert sweep.auc[i] == single.auc
+            assert sweep.max_recall_at_full_precision[i] == single.max_recall_at_full_precision
+
+    def test_frames_mode_with_ties_duplicates_and_radius_zero(self):
+        rng = seeded_rng(30)
+        for _ in range(100):
+            n = int(rng.integers(1, 120))
+            predicted = rng.integers(0, 40, n)
+            gt_map = rng.integers(0, 40, n)
+            confidence = np.round(rng.random(n), int(rng.integers(1, 3)))
+            radii = [0, *rng.integers(0, 12, int(rng.integers(0, 8))).tolist(), 0, 2.5, 1e9]
+            self.assert_rows_equal_single_calls(predicted, confidence, gt_map, radii)
+
+    def test_meters_mode(self):
+        rng = seeded_rng(31)
+        for _ in range(50):
+            n_ref = int(rng.integers(2, 60))
+            poses = np.round(np.cumsum(rng.uniform(0, 3, (n_ref, 2)), axis=0), 1)
+            n = int(rng.integers(1, 80))
+            predicted = rng.integers(0, n_ref, n)
+            gt_map = rng.integers(0, n_ref, n)
+            confidence = np.round(rng.random(n), 1)
+            radii = [0.5, 1, 2, 2, 0, 5, 20, float(rng.uniform(0, 10))]
+            self.assert_rows_equal_single_calls(predicted, confidence, gt_map, radii,
+                                                kind="meters", ref_poses=poses)
+
+    def test_one_radius_vector_is_a_one_row_stack(self):
+        rng = seeded_rng(32)
+        predicted, gt_map = rng.integers(0, 9, 40), rng.integers(0, 9, 40)
+        confidence = np.round(rng.random(40), 1)
+        self.assert_rows_equal_single_calls(predicted, confidence, gt_map, [3])
+        single = pr_curve_from_arrays(predicted, confidence, GroundTruth(map=gt_map, radius=3))
+        assert single.precision.ndim == 1 and isinstance(single.auc, float)
 
 
 class TestAuc:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,29 @@ class TestSynthTraverse:
         keep = np.abs(i - j) > 10
         random_pairs = np.mean(np.sum(d[i[keep]] * d[j[keep]], axis=1))
         assert abs(adjacent - random_pairs) < 0.1
+
+    def test_equals_float64_walk_cast_to_float32(self):
+        # the walk runs in float64 and only its stored rows are float32
+        rng = seeded_rng(9)
+        step = rng.standard_normal(16)
+        rows = [step / np.linalg.norm(step)]
+        for _ in range(49):
+            step = rng.standard_normal(16)
+            step /= np.linalg.norm(step)
+            blended = 0.7 * rows[-1] + (1.0 - 0.7) * step
+            rows.append(blended / np.linalg.norm(blended))
+        env = synth_traverse(50, 16, seed=9, smoothness=0.7)
+        assert np.array_equal(env.descriptors.data, np.array(rows).astype(np.float32))
+
+    def test_peak_memory_is_two_float32_maps(self):
+        # the map being filled and DescriptorSequence's own copy of it
+        tracemalloc.start()
+        try:
+            synth_traverse(3000, 256, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 3000 * 256 * 4 + (1 << 20)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValidationError):
