@@ -12,6 +12,7 @@ from typing import Mapping
 import numpy as np
 
 VARIANTS = ("baseline", "spl")
+CURVE_BLOCK_BYTES = 64 * 1024  # PR-sweep temporaries stay under malloc's 128 KiB mmap threshold
 
 
 class SeqPlaceError(Exception):
@@ -38,6 +39,9 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 def _owned(values, dtype) -> np.ndarray:
+    if (isinstance(values, np.ndarray) and values.base is None and values.dtype == dtype
+            and values.flags.c_contiguous and not values.flags.writeable):
+        return values  # read-only and owning its memory: a copy would guard nothing
     out = np.array(values, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
@@ -256,12 +260,16 @@ class PrCurve:
         if not (((precision >= 0.0) & (precision <= 1.0)).all()
                 and ((recall >= 0.0) & (recall <= 1.0)).all()):
             raise ValidationError("precision and recall must lie in [0, 1]")
-        if (np.diff(recall) < -1e-12).any():
-            raise ValidationError("recall must be non-decreasing as threshold drops")
-        last_recall = np.concatenate((np.zeros_like(recall[..., :1]), recall[..., :-1]), -1)
-        last_precision = np.concatenate((precision[..., :1], precision[..., :-1]), -1)
-        # cumsum adds in point order; np.sum's pairwise order changes the bits
-        area = np.cumsum((recall - last_recall) * (precision + last_precision) / 2.0, -1)[..., -1]
+        area = np.empty(precision.shape[:-1])
+        rows = max(1, CURVE_BLOCK_BYTES // (8 * threshold.size))  # curves per block
+        for i in range(0, area.size, rows):
+            p, r = (a.reshape(-1, threshold.size)[i:i + rows] for a in (precision, recall))
+            step = np.diff(r, prepend=0.0)
+            if (step[:, 1:] < -1e-12).any():
+                raise ValidationError("recall must be non-decreasing as threshold drops")
+            height = p + np.concatenate((p[:, :1], p[:, :-1]), 1)
+            # cumsum adds in point order; np.sum's pairwise order changes the bits
+            area.reshape(-1)[i:i + rows] = np.cumsum(step * height / 2.0, 1)[:, -1]
         best = recall.max(-1, initial=0.0, where=precision == 1.0)
         auc, best = (float(v) if v.ndim == 0 else _owned(v, np.float64) for v in (area, best))
         for name, value in (("threshold", threshold), ("precision", precision),

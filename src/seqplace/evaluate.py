@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrCurve, ValidationError, atomic_open
+from .core import CURVE_BLOCK_BYTES, PrCurve, ValidationError, atomic_open
 from .ingest import write_table
 
 TOLERANCE_KINDS = ("frames", "meters")
@@ -112,9 +112,9 @@ def pr_curve_from_arrays(predicted, confidence, gt: GroundTruth, ref_poses=None)
     A query is retrieved when its confidence meets the threshold; retrieved
     queries within tolerance are true positives. Precision is TP over
     retrieved, recall TP over all queries. A vector gt.radius gives a stack
-    of curves, one row per radius, from one ranking of the confidences:
-    with T distinct confidences and R radii, the sweep holds a few (R, T)
-    arrays besides vectors of one entry per query.
+    of curves, one row per radius, from one ranking of the confidences: the
+    (R, T) precision and recall are its only arrays of that size, the radii
+    going in blocks whose temporaries stay under CURVE_BLOCK_BYTES.
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     confidence = np.asarray(confidence, dtype=np.float64)
@@ -122,16 +122,18 @@ def pr_curve_from_arrays(predicted, confidence, gt: GroundTruth, ref_poses=None)
         raise ValidationError("predicted and confidence must be equal-length vectors")
     error = _errors(predicted, gt, ref_poses)
     # the thresholds, -values, are the distinct confidences, highest first
-    values, rank, counts = np.unique(-confidence, return_inverse=True, return_counts=True)
-    ordered = np.sort(np.atleast_1d(gt.radius))
-    # hits[k, t]: queries at threshold t whose smallest tolerating radius is
-    # ordered[k] (last row: none is); summed over both axes, true positives
-    hits = np.bincount(np.searchsorted(ordered, error) * values.size + rank,
-                       minlength=(ordered.size + 1) * values.size).reshape(-1, values.size)
-    tp = hits[:-1].cumsum(0).cumsum(1)[np.searchsorted(ordered, gt.radius)]
+    values, counts = np.unique(-confidence, return_counts=True)
     retrieved = np.cumsum(counts)  # queries with confidence >= threshold
-    return PrCurve(threshold=-values, precision=tp / retrieved,
-                   recall=tp / confidence.shape[0])
+    ranked = error[np.argsort(-confidence, kind="stable")]  # most confident first
+    radius, shape = np.atleast_1d(gt.radius), np.shape(gt.radius) + values.shape
+    precision, recall = np.empty(shape), np.empty(shape)
+    rows = max(1, CURVE_BLOCK_BYTES // (8 * ranked.size))  # radii per block
+    for i in range(0, radius.size, rows):
+        tp = np.cumsum(ranked <= radius[i:i + rows, None], 1)[:, retrieved - 1]
+        np.divide(tp, retrieved, out=precision.reshape(-1, values.size)[i:i + rows])
+        np.divide(tp, ranked.size, out=recall.reshape(-1, values.size)[i:i + rows])
+    precision.flags.writeable = recall.flags.writeable = False  # PrCurve keeps them uncopied
+    return PrCurve(threshold=-values, precision=precision, recall=recall)
 
 
 def bench_latency(matcher, dataset, repetitions: int, n_queries: int,

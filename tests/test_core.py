@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqplace.core import (
+    CURVE_BLOCK_BYTES,
     DescriptorSequence,
     MatchScores,
     ModelConfig,
@@ -169,6 +170,35 @@ class TestPrCurve:
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             PrCurve(threshold=threshold, precision=[[1.0, 1.0], [1.0, 1.5]],
                     recall=[[0.25, 0.5], [0.25, 0.5]])
+
+    def test_keeps_read_only_owning_arrays_and_copies_the_rest(self):
+        threshold = np.array([0.9, 0.8])
+        frozen = np.array([0.5, 0.75])
+        frozen.flags.writeable = False
+        writeable = np.array([1.0, 0.5])
+        curve = PrCurve(threshold=threshold, precision=writeable, recall=frozen)
+        assert curve.recall is frozen
+        assert curve.precision is not writeable and not curve.precision.flags.writeable
+        assert curve.threshold is not threshold and not curve.threshold.flags.writeable
+        view = np.array([[0.5, 0.75]])[0]  # read-only, but its base may still change
+        view.flags.writeable = False
+        assert PrCurve(threshold=threshold, precision=writeable, recall=view).recall is not view
+
+    def test_stack_spanning_several_blocks_derives_each_row(self):
+        rng = seeded_rng(35)
+        n_points = 4000
+        assert CURVE_BLOCK_BYTES // (8 * n_points) < 5  # more than one block of curves
+        recall = np.sort(rng.random((5, n_points)), axis=1)
+        precision = rng.random((5, n_points))
+        precision[:, ::7] = 1.0
+        stack = PrCurve(threshold=np.linspace(1, 0, n_points), precision=precision, recall=recall)
+        for i in range(5):
+            row = PrCurve(threshold=stack.threshold, precision=precision[i], recall=recall[i])
+            assert stack.auc[i] == row.auc
+            assert stack.max_recall_at_full_precision[i] == row.max_recall_at_full_precision
+        recall[4, 100] = 0.0
+        with pytest.raises(ValidationError, match="non-decreasing"):
+            PrCurve(threshold=stack.threshold, precision=precision, recall=recall)
 
     def test_stack_derives_each_row_like_a_single_curve(self):
         threshold = [0.9, 0.8, 0.7]

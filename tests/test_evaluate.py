@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import pr_sweep_brute
-from seqplace.core import MatchScores, ValidationError, seeded_rng
+from seqplace.core import CURVE_BLOCK_BYTES, MatchScores, ValidationError, seeded_rng
 from seqplace.evaluate import GroundTruth, LatencyReport, bench_latency, pr_curve_from_arrays
 
 
@@ -194,6 +196,32 @@ class TestRadiusSweep:
             radii = [0.5, 1, 2, 2, 0, 5, 20, float(rng.uniform(0, 10))]
             self.assert_rows_equal_single_calls(predicted, confidence, gt_map, radii,
                                                 kind="meters", ref_poses=poses)
+
+    @pytest.mark.parametrize("decimals", [2, 12])  # many ties; every confidence distinct
+    def test_radii_spanning_several_blocks(self, decimals):
+        rng = seeded_rng(33)
+        n = 3000
+        predicted, gt_map = rng.integers(0, 400, n), rng.integers(0, 400, n)
+        confidence = np.round(rng.random(n), decimals)
+        radii = [4, 0, 9, 4, 1e9, 2.5, 30]
+        assert CURVE_BLOCK_BYTES // (8 * n) < len(radii)  # more than one block of radii
+        self.assert_rows_equal_single_calls(predicted, confidence, gt_map, radii)
+
+    def test_allocations_bounded_by_the_two_results(self):
+        # the (R, T) precision and recall, plus block-sized work buffers and
+        # vectors of one entry per query: no full-size temporary
+        rng = seeded_rng(34)
+        n = 2000
+        predicted, gt_map = rng.integers(0, 500, n), rng.integers(0, 500, n)
+        gt = GroundTruth(map=gt_map, radius=list(range(50)))
+        tracemalloc.start()
+        try:
+            curve = pr_curve_from_arrays(predicted, rng.random(n), gt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.precision.shape == (50, n)
+        assert peak <= 2 * curve.precision.nbytes + (1 << 20)
 
     def test_one_radius_vector_is_a_one_row_stack(self):
         rng = seeded_rng(32)
