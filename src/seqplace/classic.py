@@ -4,6 +4,7 @@ delta descriptors, and single-frame matching."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from .core import DescriptorSequence, MatchScores, ValidationError
 
 METRICS = ("sad", "cosine")
+DEFAULT_METRIC = {"seqslam": "sad", "pairwise": "cosine", "delta": "cosine"}
 ENHANCE_EPS = 1e-9
 # working-set budget of one query block in the SAD and line-search loops,
 # sized to stay in a core's L2 cache
@@ -137,20 +139,22 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     return out.T
 
 
-def _negate_rescale(values: np.ndarray) -> np.ndarray:
-    """Negate and min-max rescale values to [0, 1] in place (constant: all ones)."""
-    np.negative(values, out=values)
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
-        values[...] = 1.0
-    else:
-        values -= lo
-        values /= hi - lo
-    return values
+def _rescaled_rows(values: np.ndarray, block: int, in_place: bool = False):
+    """Yield the rows of values negated and min-max rescaled to [0, 1] over
+    all of them, (hi - v) / (hi - lo), or all ones when they are constant:
+    block rows at a time, as new C arrays or written over values."""
+    lo, hi = values.min(), values.max()
+    for j in range(0, values.shape[0], block):
+        rows = values[j:j + block] if in_place else np.empty(values[j:j + block].shape)
+        if hi == lo:
+            rows[...] = 1.0
+        else:
+            np.subtract(hi, values[j:j + block], out=rows)
+            rows /= hi - lo
+        yield rows
 
 
-def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
+def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     """Constant-velocity line search over the enhanced matrix.
 
     For query j and candidate endpoint i the raw score is the best (lowest)
@@ -160,6 +164,8 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
     by ds; the minimum is taken over v in grid order. Scores are negated and
     min-max rescaled to [0, 1]; queries with fewer than ds frames of history
     get all-zero rows (the lowest confidence).
+
+    The search runs at once; the returned iterator yields the rescaled rows.
     """
     enhanced = np.asarray(enhanced, dtype=np.float64)
     n_ref, n_query = enhanced.shape
@@ -195,15 +201,25 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
                 np.add(head, rows[:, :1], out=lines[:, :o])
             lines /= ds
             np.minimum(best, lines, out=best)
-    _negate_rescale(raw[ds - 1:])
-    return MatchScores.from_scores(raw)
+    return itertools.chain([raw[:ds - 1]], _rescaled_rows(raw[ds - 1:], block, in_place=True))
+
+
+def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
+    """The best place per query by the line search of seqslam_rows."""
+    return MatchScores.from_scores(seqslam_rows(enhanced, cfg), np.shape(enhanced)[0])
+
+
+def pairwise_rows(matrix):
+    """Single-frame score rows in blocks of queries: row j is one minus the
+    min-max normalized distances of query j (column j of matrix)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return _rescaled_rows(matrix.T, max(1, BLOCK_BYTES // (8 * matrix.shape[0])))
 
 
 def pairwise_match(matrix) -> MatchScores:
     """Single-frame matching: best place per query is the smallest distance;
     confidence is one minus the min-max normalized distance."""
-    scores = np.array(np.asarray(matrix).T, dtype=np.float64, order="C")
-    return MatchScores.from_scores(_negate_rescale(scores))
+    return MatchScores.from_scores(pairwise_rows(matrix), np.shape(matrix)[0])
 
 
 def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:
@@ -229,3 +245,22 @@ def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:
     delta /= norms
     out = np.pad(delta, ((w, w - 1), (0, 0)), mode="edge")
     return DescriptorSequence(data=out.astype(np.float32))
+
+
+def match(method: str, ref: DescriptorSequence, query: DescriptorSequence,
+          cfg: SeqSlamConfig, metric=None, delta_window=5, on_matrix=None) -> MatchScores:
+    """Run a classical method end to end: delta descriptors (delta only),
+    the similarity matrix (by default in the method's DEFAULT_METRIC), passed
+    to on_matrix when given, then the enhanced line search (seqslam) or
+    single-frame matching."""
+    if method not in DEFAULT_METRIC:
+        raise ValidationError(f"method must be one of {tuple(DEFAULT_METRIC)}, got {method!r}")
+    if method == "delta":
+        ref, query = (delta_descriptors(d, delta_window) for d in (ref, query))
+    sim = similarity_matrix(ref, query, metric=metric or DEFAULT_METRIC[method])
+    if on_matrix is not None:
+        on_matrix(sim)
+    if method == "seqslam":
+        sim = contrast_enhance(sim, cfg.r_window)  # frees the raw matrix
+        return seqslam_match(sim, cfg)
+    return pairwise_match(sim)

@@ -83,12 +83,11 @@ def _parse_warp(text):
     if text is None:
         return None
     try:
-        speeds = [float(tok) for tok in text.split(",") if tok]
+        return [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         from .core import ValidationError
 
         raise ValidationError(f"bad --warp value {text!r}; expected comma-separated speeds")
-    return speeds
 
 
 def _parse_radii(args):
@@ -191,31 +190,25 @@ def cmd_infer(args) -> int:
 
 
 def cmd_match(args) -> int:
-    from .classic import (SeqSlamConfig, contrast_enhance, delta_descriptors,
-                          pairwise_match, seqslam_match, similarity_matrix)
+    from .classic import DEFAULT_METRIC, SeqSlamConfig, match
     from .core import DescriptorSequence
     from .ingest import load_descriptors, save_descriptors, save_scores
 
     ref = load_descriptors(args.ref)
     query = load_descriptors(args.query)
-    metric = args.metric or ("sad" if args.method == "seqslam" else "cosine")
+    metric = args.metric or DEFAULT_METRIC[args.method]
     # every method records, and so validates, the line-search settings
     cfg = SeqSlamConfig(ds=args.ds, v_min=args.vmin, v_max=args.vmax,
                         v_step=args.vstep, r_window=args.rwindow)
     params = {"method": args.method, "metric": metric, **dataclasses.asdict(cfg),
               "delta_window": args.delta_window}
     manifest = _start_manifest("match", params, [args.ref, args.query], None)
-    if args.method == "delta":
-        ref = delta_descriptors(ref, args.delta_window)
-        query = delta_descriptors(query, args.delta_window)
-    sim = similarity_matrix(ref, query, metric=metric)
-    if args.export_matrix:
+
+    def export(sim):
         save_descriptors(args.export_matrix, DescriptorSequence(data=sim))
-    if args.method == "seqslam":
-        sim = contrast_enhance(sim, cfg.r_window)  # frees the raw matrix
-        scores = seqslam_match(sim, cfg)
-    else:
-        scores = pairwise_match(sim)
+
+    scores = match(args.method, ref, query, cfg, metric, args.delta_window,
+                   on_matrix=export if args.export_matrix else None)
     save_scores(args.out, scores)
     return _finish(manifest, args.out)
 
@@ -256,7 +249,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .classic import SeqSlamConfig, contrast_enhance, pairwise_match, seqslam_match, similarity_matrix
+    from .classic import SeqSlamConfig, match
     from .core import DescriptorSequence, ModelConfig, PoseSequence, ValidationError
     from .evaluate import bench_latency, write_latency_json
     from .ingest import SyntheticEnv, perturb_query, synth_traverse
@@ -300,17 +293,9 @@ def cmd_bench(args) -> int:
 
                 def matcher(ds, model=model):
                     return infer(model, ds[0], ds[1])
-            elif method == "seqslam":
-                cfg = SeqSlamConfig(ds=args.tw)
-
-                def matcher(ds, env=env, cfg=cfg):
-                    sim = similarity_matrix(env.descriptors, ds[0], metric="sad")
-                    sim = contrast_enhance(sim, cfg.r_window)
-                    return seqslam_match(sim, cfg)
             else:
-                def matcher(ds, env=env):
-                    return pairwise_match(similarity_matrix(env.descriptors, ds[0],
-                                                            metric="cosine"))
+                def matcher(ds, env=env, method=method):
+                    return match(method, env.descriptors, ds[0], SeqSlamConfig(ds=args.tw))
             reports.append(bench_latency(matcher, dataset, args.reps,
                                          n_queries=n_queries,
                                          name=method, n_frames=n_ref))

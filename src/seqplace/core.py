@@ -6,8 +6,8 @@ import io
 import os
 import secrets
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
-from typing import Mapping
+from dataclasses import InitVar, dataclass, field, fields
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -191,46 +191,47 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MatchScores:
-    """Per-query likelihood scores against every candidate place.
+    """Each query's best place among n_places candidates, and its score.
 
-    Takes ownership of the score matrix (no copy when it is already
-    C-contiguous float64; frozen in place when it owns its data) and derives
-    predicted, the lowest-index argmax of each row, and confidence, the
-    score there. A non-finite score is a numerical fault of the producer:
-    NumericsError.
+    Reduces blocks of score rows (2-d, n_places columns, any float dtype) as
+    they arrive, so no score matrix need exist: predicted is each row's
+    lowest-index argmax, confidence the score there as float64. A non-finite
+    score is a numerical fault of the producer: NumericsError.
     """
 
-    scores: np.ndarray                          # (n_queries, n_places)
+    blocks: InitVar[Iterable]                   # score rows, block by block
+    n_places: int
     predicted: np.ndarray = field(init=False)   # (n_queries,)
     confidence: np.ndarray = field(init=False)  # (n_queries,)
 
-    def __post_init__(self):
-        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
-            raise ValidationError(f"scores must be 2-d, got shape {np.shape(scores)}")
-        loc = _first_bad(scores)
-        if loc is not None:
-            raise NumericsError(f"non-finite score at query {loc[0]}, place {loc[1]}")
-        predicted = scores.argmax(axis=1)
-        confidence = scores[np.arange(scores.shape[0]), predicted]
-        for name, arr in (("scores", scores), ("predicted", predicted),
-                          ("confidence", confidence)):
-            if arr.flags.owndata:
-                arr.flags.writeable = False
+    def __post_init__(self, blocks):
+        predicted, confidence, start = [], [], 0
+        for block in map(np.asarray, blocks):
+            if block.ndim != 2 or block.shape[1] != self.n_places or self.n_places < 1:
+                raise ValidationError(f"score rows must be 2-d with {self.n_places} "
+                                      f"columns, got shape {block.shape}")
+            loc = _first_bad(block) if block.size else None
+            if loc is not None:
+                raise NumericsError(
+                    f"non-finite score at query {start + loc[0]}, place {loc[1]}")
+            predicted.append(block.argmax(axis=1))
+            confidence.append(block[np.arange(block.shape[0]), predicted[-1]])
+            start += block.shape[0]
+        if start < 1:
+            raise ValidationError("scores need at least one query row")
+        for name, arr in (("predicted", np.concatenate(predicted)),
+                          ("confidence", np.concatenate(confidence).astype(np.float64))):
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_scores(cls, scores) -> "MatchScores":
+    def from_scores(cls, blocks, n_places: int) -> "MatchScores":
         """The constructor under the name every producer calls."""
-        return cls(scores)
+        return cls(blocks, n_places)
 
     @property
     def n_queries(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def n_places(self) -> int:
-        return self.scores.shape[1]
+        return self.predicted.shape[0]
 
 
 @dataclass(frozen=True)

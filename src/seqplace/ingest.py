@@ -248,6 +248,7 @@ def synth_traverse(n_frames: int, dim: int, seed: int,
         turn = 0.85 * turn + 0.15 * rng.normal(0.0, 0.4)
         heading += turn
         pos[t] = pos[t - 1] + (np.cos(heading), np.sin(heading))
+    desc.flags.writeable = False  # read-only and owning: DescriptorSequence keeps it
     return SyntheticEnv(
         descriptors=DescriptorSequence(data=desc),
         poses=PoseSequence(data=pos),

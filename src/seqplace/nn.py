@@ -162,13 +162,11 @@ def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams, gw_h):
     return dz, dz @ params.w_h, dc_prev
 
 
-def softmax(logits, out=None):
-    """Softmax over the last axis, computed in the precision of logits;
-    with out given, the result is written there (cast to its dtype)."""
-    logits = np.asarray(logits)
-    e = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    return np.divide(e, e.sum(axis=-1, keepdims=True), out=out, dtype=e.dtype)
+def softmax(logits):
+    """Softmax over the last axis, computed in place in logits, in its precision."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    return np.divide(logits, logits.sum(axis=-1, keepdims=True), out=logits)
 
 
 def softmax_cross_entropy_batch(logits, targets):

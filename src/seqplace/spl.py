@@ -214,6 +214,17 @@ def _backward(model: SplModel, ctx, dlogits: np.ndarray) -> list:
     return grads + [dw_out, db_out]
 
 
+def _check_sequences(cfg: ModelConfig, descriptors: DescriptorSequence,
+                     poses: PoseSequence, what: str) -> None:
+    """The model's descriptor dim, and one pose per frame; what names the traversal."""
+    if descriptors.dim != cfg.descriptor_dim:
+        raise ValidationError(f"{what}descriptor dim {descriptors.dim} does not match "
+                              f"model dim {cfg.descriptor_dim}")
+    if descriptors.n_frames != poses.n_frames:
+        raise ValidationError(f"{descriptors.n_frames} {what}descriptor frames vs "
+                              f"{poses.n_frames} pose frames")
+
+
 def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
           tw: int, config: TrainConfig):
     """Train on every temporal window of the traversal, label = start index.
@@ -223,14 +234,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
     cfg = model.config
     if tw != cfg.tw:
         raise ValidationError(f"tw={tw} does not match the model's tw={cfg.tw}")
-    if descriptors.dim != cfg.descriptor_dim:
-        raise ValidationError(
-            f"descriptor dim {descriptors.dim} does not match model dim {cfg.descriptor_dim}"
-        )
-    if descriptors.n_frames != poses.n_frames:
-        raise ValidationError(
-            f"{descriptors.n_frames} descriptor frames vs {poses.n_frames} pose frames"
-        )
+    _check_sequences(cfg, descriptors, poses, "")
     cfg.check_total_frames(descriptors.n_frames)
     standardized, mu, sigma = standardize_poses(poses)
     std_data = standardized.data
@@ -287,24 +291,17 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
     return work, history
 
 
-def infer(model: SplModel, descriptors: DescriptorSequence,
-          poses: PoseSequence) -> MatchScores:
+def score_rows(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence):
     """Window the query with the training tw and score every window.
 
-    Row q of the scores is the softmax over places for the window starting
-    at query frame q. Query poses are standardized with the statistics
-    captured at training time.
+    Row q of the scores is the float32 softmax over places for the window
+    starting at query frame q. Query poses are standardized with the
+    statistics captured at training time. The input projection runs at
+    once; the returned iterator runs the recurrence and yields the score
+    rows in chunks of _INFER_CHUNK windows.
     """
     cfg = model.config
-    if descriptors.dim != cfg.descriptor_dim:
-        raise ValidationError(
-            f"query descriptor dim {descriptors.dim} does not match model dim "
-            f"{cfg.descriptor_dim}"
-        )
-    if descriptors.n_frames != poses.n_frames:
-        raise ValidationError(
-            f"{descriptors.n_frames} query descriptor frames vs {poses.n_frames} pose frames"
-        )
+    _check_sequences(cfg, descriptors, poses, "query ")
     if descriptors.n_frames < cfg.tw + 1:
         raise ValidationError(
             f"query has {descriptors.n_frames} frames; windowing with tw={cfg.tw} "
@@ -312,14 +309,18 @@ def infer(model: SplModel, descriptors: DescriptorSequence,
         )
     std_data = apply_standardization(poses.data, model.pose_mu, model.pose_sigma)
     count = descriptors.n_frames - cfg.tw
-    scores = np.empty((count, cfg.num_places), dtype=np.float64)
     inputs = _inputs(model, descriptors.data, std_data)
     steps = np.arange(cfg.tw)[:, None]
-    for start in range(0, count, _INFER_CHUNK):
-        starts = np.arange(start, min(start + _INFER_CHUNK, count))
-        logits, _ = _forward(model, inputs, steps + starts)
-        nn.softmax(logits, out=scores[start:start + starts.size])
-    return MatchScores.from_scores(scores)
+    rows = (steps + np.arange(start, min(start + _INFER_CHUNK, count))
+            for start in range(0, count, _INFER_CHUNK))
+    return (nn.softmax(_forward(model, inputs, chunk)[0]) for chunk in rows)
+
+
+def infer(model: SplModel, descriptors: DescriptorSequence,
+          poses: PoseSequence) -> MatchScores:
+    """The best place per query window by the scores of score_rows."""
+    return MatchScores.from_scores(score_rows(model, descriptors, poses),
+                                   model.config.num_places)
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -389,7 +390,7 @@ def load_checkpoint(path) -> SplModel:
         tensor = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
         if not np.isfinite(tensor).all():
             raise FormatError(f"{path}: non-finite entries in parameter tensor {len(tensors)}")
-        tensors.append(tensor.reshape(shape).copy())
+        tensors.append(tensor.reshape(shape))  # read-only views: copies doubled each load
         offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} unexpected trailing bytes")

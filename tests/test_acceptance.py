@@ -14,14 +14,8 @@ import numpy as np
 import pytest
 
 from oracles import grad_check, pr_sweep_brute, seqslam_scores_brute
-from seqplace import nn
-from seqplace.classic import (
-    SeqSlamConfig,
-    contrast_enhance,
-    seqslam_match,
-    similarity_matrix,
-    velocity_grid,
-)
+from seqplace import classic, nn
+from seqplace.classic import SeqSlamConfig, seqslam_rows, velocity_grid
 from seqplace.core import (
     DescriptorSequence,
     FormatError,
@@ -48,6 +42,7 @@ from seqplace.spl import (
     load_checkpoint,
     parameter_list,
     save_checkpoint,
+    score_rows,
     train,
 )
 
@@ -102,9 +97,7 @@ def frames_auc(scores, gt_map, radius):
 
 
 def seqslam_scores(env, query, ds):
-    sim = similarity_matrix(env.descriptors, query.descriptors, metric="sad")
-    cfg = SeqSlamConfig(ds=ds)
-    return seqslam_match(contrast_enhance(sim, cfg.r_window), cfg)
+    return classic.match("seqslam", env.descriptors, query.descriptors, SeqSlamConfig(ds=ds))
 
 
 def test_c1_gradient_correctness():
@@ -225,9 +218,9 @@ def test_c5_matcher_oracle():
         velocities = velocity_grid(cfg)
         assert velocities.size == n_vel
         enhanced = rng.standard_normal((n_ref, n_query))
-        got = seqslam_match(enhanced, cfg)
+        got = np.vstack(list(seqslam_rows(enhanced, cfg)))
         want = seqslam_scores_brute(enhanced, ds, velocities.tolist())
-        assert np.array_equal(got.scores, want), f"trial {trial} diverged"
+        assert np.array_equal(got, want), f"trial {trial} diverged"
     print("\nACCEPTANCE C5 matcher-oracle: PASS (500 instances, exact)")
 
 
@@ -243,7 +236,7 @@ def test_c6_pr_auc_oracle():
         radius = int(rng.integers(0, 5))
         scores = np.full((n, n_places), -1.0)
         scores[np.arange(n), predicted] = confidence
-        match = MatchScores.from_scores(scores)
+        match = MatchScores.from_scores([scores], n_places)
         curve = pr_curve(match, GroundTruth(map=gt_map, radius=radius))
         correct = np.abs(predicted - gt_map) <= radius
         points, area, best = pr_sweep_brute(confidence, correct)
@@ -279,8 +272,7 @@ def test_c7_latency_scaling():
             return infer(model, ds[0], ds[1])
 
         def seq_matcher(ds, env=env):
-            sim = similarity_matrix(env.descriptors, ds[0], metric="sad")
-            return seqslam_match(contrast_enhance(sim, 10), SeqSlamConfig(ds=tw))
+            return classic.match("seqslam", env.descriptors, ds[0], SeqSlamConfig(ds=tw))
 
         setups[n_ref] = (spl_matcher, seq_matcher, (qdesc, qpose))
 
@@ -391,8 +383,8 @@ def test_c9_format_round_trips(tmp_path):
     for a, b in zip(parameter_list(model), parameter_list(loaded)):
         assert np.array_equal(a, b)
     assert np.array_equal(
-        infer(model, env.descriptors, env.poses).scores,
-        infer(loaded, env.descriptors, env.poses).scores)
+        np.vstack(list(score_rows(model, env.descriptors, env.poses))),
+        np.vstack(list(score_rows(loaded, env.descriptors, env.poses))))
 
     wrong = bytearray(ckpt.read_bytes())
     wrong[:4] = b"NOPE"

@@ -11,11 +11,17 @@ from seqplace.classic import (
     contrast_enhance,
     delta_descriptors,
     pairwise_match,
+    pairwise_rows,
     seqslam_match,
+    seqslam_rows,
     similarity_matrix,
     velocity_grid,
 )
 from seqplace.core import DescriptorSequence, ValidationError, seeded_rng
+
+
+def stacked(blocks):
+    return np.vstack(list(blocks))
 
 
 def unit_rows(rng, n, dim):
@@ -200,9 +206,9 @@ class TestSeqSlamMatch:
             n_query = int(rng.integers(ds + 1, 11))
             cfg = SeqSlamConfig(ds=ds, v_min=0.6, v_max=1.4, v_step=0.2, r_window=3)
             enhanced = rng.standard_normal((n_ref, n_query))
-            got = seqslam_match(enhanced, cfg)
+            got = stacked(seqslam_rows(enhanced, cfg))
             want = seqslam_scores_brute(enhanced, ds, velocity_grid(cfg).tolist())
-            assert np.array_equal(got.scores, want)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("block_queries", [1, 7, 16, None])
     def test_matches_exhaustive_enumeration_across_blocks(self, monkeypatch,
@@ -223,18 +229,22 @@ class TestSeqSlamMatch:
                 monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * n_ref * block_queries)
             cfg = SeqSlamConfig(ds=ds, v_min=v_min, v_max=v_max, v_step=v_step, r_window=3)
             enhanced = rng.standard_normal((n_ref, n_query))
-            got = seqslam_match(enhanced, cfg)
             want = seqslam_scores_brute(enhanced, ds, velocity_grid(cfg).tolist())
-            assert np.array_equal(got.scores, want)
+            assert np.array_equal(stacked(seqslam_rows(enhanced, cfg)), want)
+            got = seqslam_match(enhanced, cfg)
+            assert np.array_equal(got.predicted, want.argmax(axis=1))
+            assert np.array_equal(got.confidence, want.max(axis=1))
 
     def test_ds_one_equals_pairwise(self):
         rng = seeded_rng(8)
         enhanced = rng.standard_normal((9, 7))
         cfg = SeqSlamConfig(ds=1, v_min=1.0, v_max=1.0, v_step=0.1, r_window=2)
+        assert np.array_equal(stacked(seqslam_rows(enhanced, cfg)),
+                              stacked(pairwise_rows(enhanced)))
         via_lines = seqslam_match(enhanced, cfg)
         via_pairwise = pairwise_match(enhanced)
-        assert np.array_equal(via_lines.scores, via_pairwise.scores)
         assert np.array_equal(via_lines.predicted, via_pairwise.predicted)
+        assert np.array_equal(via_lines.confidence, via_pairwise.confidence)
 
     def test_early_queries_get_lowest_confidence(self):
         rng = seeded_rng(9)
@@ -283,6 +293,54 @@ class TestPairwiseMatch:
         for j in range(4):
             expected = 1.0 - (d[:, j].min() - lo) / (hi - lo)
             assert abs(got.confidence[j] - expected) < 1e-12
+
+    @pytest.mark.parametrize("block_queries", [1, 3, None])
+    def test_blocks_equal_whole_matrix_rescale(self, monkeypatch, block_queries):
+        # the negated transpose min-max rescaled as one matrix; rounded
+        # distances tie within columns, and a constant matrix gives all ones
+        rng = seeded_rng(21)
+        for d in (np.round(rng.uniform(0, 5, (9, 8)), 1), rng.uniform(0, 5, (40, 17)),
+                  np.full((6, 5), 2.5)):
+            if block_queries is not None:
+                monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * d.shape[0] * block_queries)
+            want = -d.T
+            if want.max() == want.min():
+                want = np.ones_like(want)
+            else:
+                want = (want - want.min()) / (want.max() - want.min())
+            assert np.array_equal(stacked(pairwise_rows(d)), want)
+            got = pairwise_match(d)
+            assert np.array_equal(got.predicted, want.argmax(axis=1))
+            assert np.array_equal(got.confidence, want.max(axis=1))
+
+
+class TestMatchPipeline:
+    def test_each_method_equals_its_stages(self):
+        rng = seeded_rng(22)
+        ref = DescriptorSequence(data=unit_rows(rng, 40, 6).astype(np.float32))
+        query = DescriptorSequence(data=unit_rows(rng, 25, 6).astype(np.float32))
+        cfg = SeqSlamConfig(ds=4, r_window=6)
+        sad = similarity_matrix(ref, query, metric="sad")
+        cosine = similarity_matrix(ref, query, metric="cosine")
+        delta = similarity_matrix(delta_descriptors(ref, 3), delta_descriptors(query, 3))
+        cases = [
+            (("seqslam",), seqslam_match(contrast_enhance(sad, 6), cfg), sad),
+            (("seqslam", "cosine"), seqslam_match(contrast_enhance(cosine, 6), cfg), cosine),
+            (("pairwise",), pairwise_match(cosine), cosine),
+            (("pairwise", "sad"), pairwise_match(sad), sad),
+            (("delta", None, 3), pairwise_match(delta), delta),
+        ]
+        for args, want, matrix in cases:
+            seen = []
+            got = classic.match(args[0], ref, query, cfg, *args[1:], on_matrix=seen.append)
+            assert np.array_equal(got.predicted, want.predicted), args
+            assert np.array_equal(got.confidence, want.confidence), args
+            assert len(seen) == 1 and np.array_equal(seen[0], matrix), args
+
+    def test_unknown_method_rejected(self):
+        desc = DescriptorSequence(data=np.eye(6, dtype=np.float32))
+        with pytest.raises(ValidationError, match="method"):
+            classic.match("netvlad", desc, desc, SeqSlamConfig(ds=2))
 
 
 class TestDeltaDescriptors:
@@ -339,13 +397,13 @@ class TestInputsAndMemory:
         assert matrix.tobytes(order="A") == before
 
     def test_allocations_bounded_by_outputs(self):
-        # the enhanced matrix and the line-search scores for seqslam, the
-        # scores alone for pairwise, plus block-sized work buffers
+        # the enhanced matrix and the line-search scores for seqslam, only
+        # block-sized work buffers for pairwise: no N x Q copy
         rng = seeded_rng(19)
         matrix = rng.uniform(0, 4, (2000, 500))
         for run, n_arrays in (
             (lambda: seqslam_match(contrast_enhance(matrix, 10), SeqSlamConfig()), 2),
-            (lambda: pairwise_match(matrix), 1),
+            (lambda: pairwise_match(matrix), 0),
         ):
             tracemalloc.start()
             try:

@@ -108,47 +108,68 @@ class TestTrainConfig:
 class TestMatchScores:
     def test_from_scores_ties_pick_lowest_index(self):
         scores = np.array([[0.5, 0.5, 0.1], [0.2, 0.9, 0.9]])
-        m = MatchScores.from_scores(scores)
+        m = MatchScores.from_scores([scores], 3)
         assert m.predicted.tolist() == [0, 1]
         assert m.confidence.tolist() == [0.5, 0.9]
+        assert (m.n_queries, m.n_places) == (2, 3)
 
     def test_invariants_enforced_on_direct_construction(self):
         scores = np.array([[0.1, 0.9], [0.7, 0.2]])
-        m = MatchScores(scores)
+        m = MatchScores([scores], 2)
         assert m.predicted.tolist() == [1, 0]
         assert m.confidence.tolist() == [0.9, 0.7]
         with pytest.raises(TypeError):
-            MatchScores(scores=scores, predicted=np.array([0, 0]),
+            MatchScores([scores], 2, predicted=np.array([0, 0]),
                         confidence=np.array([0.1, 0.7]))
         with pytest.raises(ValidationError, match="2-d"):
-            MatchScores(np.array([0.1, 0.9]))
+            MatchScores([np.array([0.1, 0.9])], 2)
+        with pytest.raises(ValidationError, match="3 columns"):
+            MatchScores([scores], 3)
+        with pytest.raises(ValidationError, match="at least one"):
+            MatchScores([], 2)
         with pytest.raises(NumericsError, match="query 0, place 1"):
-            MatchScores(np.array([[0.1, np.nan]]))
+            MatchScores([np.array([[0.1, np.nan]])], 2)
 
-    def test_takes_ownership_without_copy(self):
-        scores = seeded_rng(0).random((4, 3))
-        m = MatchScores.from_scores(scores)
-        assert m.scores is scores
-        assert not scores.flags.writeable
+    def test_blocks_reduce_like_the_stacked_matrix(self):
+        rng = seeded_rng(0)
+        scores = np.round(rng.random((23, 7)), 1)  # ties within rows
+        whole = MatchScores.from_scores([scores], 7)
+        assert whole.predicted.tolist() == scores.argmax(axis=1).tolist()
+        assert whole.confidence.tolist() == scores.max(axis=1).tolist()
+        for cuts in ([1], [5, 6, 20], [0, 0, 23], list(range(1, 23))):
+            blocks = np.split(scores, cuts)
+            m = MatchScores.from_scores(iter(blocks), 7)
+            assert np.array_equal(m.predicted, whole.predicted)
+            assert np.array_equal(m.confidence, whole.confidence)
+            assert not (m.predicted.flags.writeable or m.confidence.flags.writeable)
+
+    def test_float32_rows_give_float64_confidence(self):
+        scores = seeded_rng(1).random((4, 5)).astype(np.float32)
+        m = MatchScores.from_scores([scores[:3], scores[3:]], 5)
+        assert m.confidence.dtype == np.float64
+        assert np.array_equal(m.confidence, scores.max(axis=1).astype(np.float64))
 
     def test_monotone_transform_keeps_predictions(self):
         rng = seeded_rng(5)
         scores = rng.random((7, 9))
-        before = MatchScores.from_scores(scores)
-        after = MatchScores.from_scores(np.exp(3.0 * scores) + 2.0)
+        before = MatchScores.from_scores([scores], 9)
+        after = MatchScores.from_scores([np.exp(3.0 * scores) + 2.0], 9)
         assert np.array_equal(before.predicted, after.predicted)
 
     def test_from_scores_rejects_non_finite_with_location(self):
         for bad in (np.nan, np.inf, -np.inf):
-            scores = np.zeros((3, 4))
-            scores[2, 1] = bad
-            with pytest.raises(NumericsError, match="query 2, place 1"):
-                MatchScores.from_scores(scores)
+            scores = np.zeros((7, 4))
+            scores[5, 1] = bad
+            with pytest.raises(NumericsError, match="query 5, place 1"):
+                MatchScores.from_scores([scores], 4)
+            # counted across blocks
+            with pytest.raises(NumericsError, match="query 5, place 1"):
+                MatchScores.from_scores(np.split(scores, [2, 4, 6]), 4)
 
     def test_extreme_finite_values_accepted(self):
         scores = np.full((3, 4), 1e308)
         scores[1, 2] = 1.5e308
-        assert MatchScores.from_scores(scores).predicted.tolist() == [0, 2, 0]
+        assert MatchScores.from_scores([scores], 4).predicted.tolist() == [0, 2, 0]
         data = np.full((2, 3), 3e38, dtype=np.float32)
         assert DescriptorSequence(data=data).n_frames == 2
 

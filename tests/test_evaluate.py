@@ -15,7 +15,7 @@ def scores_from(predicted, confidence, n_places=None):
     n_places = n_places or int(predicted.max()) + 1
     scores = np.full((len(predicted), n_places), -1.0)
     scores[np.arange(len(predicted)), predicted] = confidence
-    return MatchScores.from_scores(scores)
+    return MatchScores.from_scores([scores], n_places)
 
 
 def pr_curve(scores, gt, ref_poses=None):

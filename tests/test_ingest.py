@@ -146,7 +146,7 @@ class TestGroundTruthFiles:
 
 class TestScoresFiles:
     def test_round_trip(self, tmp_path):
-        scores = MatchScores(seeded_rng(11).random((6, 4)))
+        scores = MatchScores.from_scores([seeded_rng(11).random((6, 4))], 4)
         path = tmp_path / "s.csv"
         save_scores(path, scores)
         predicted, confidence = load_scores(path)
@@ -239,15 +239,16 @@ class TestSynthTraverse:
         env = synth_traverse(50, 16, seed=9, smoothness=0.7)
         assert np.array_equal(env.descriptors.data, np.array(rows).astype(np.float32))
 
-    def test_peak_memory_is_two_float32_maps(self):
-        # the map being filled and DescriptorSequence's own copy of it
+    def test_peak_memory_is_one_float32_map(self):
+        # DescriptorSequence keeps the read-only map it is given: no copy
         tracemalloc.start()
         try:
-            synth_traverse(3000, 256, seed=2)
+            env = synth_traverse(3000, 256, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 3000 * 256 * 4 + (1 << 20)
+        assert peak <= 3000 * 256 * 4 + (1 << 20)
+        assert not env.descriptors.data.flags.writeable
 
     def test_too_small_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import grad_check, linear, scalar_lstm_step, spl_window_scores
-from seqplace import nn
+from seqplace import nn, spl
 from seqplace.core import (
     DescriptorSequence,
     FormatError,
@@ -23,6 +25,7 @@ from seqplace.spl import (
     load_checkpoint,
     parameter_list,
     save_checkpoint,
+    score_rows,
     train,
 )
 
@@ -333,15 +336,44 @@ class TestInfer:
 
     def test_rows_sum_to_one(self, trained_small):
         env, model, _ = trained_small
-        scores = infer(model, env.descriptors, env.poses)
-        assert np.allclose(scores.scores.sum(axis=1), 1.0, atol=1e-5)
+        rows = np.vstack(list(score_rows(model, env.descriptors, env.poses)))
+        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-5)
 
     def test_noiseless_identity_query_equals_self_query(self, trained_small):
         env, model, _ = trained_small
         query, _ = perturb_query(env, noise_sigma=0.0, speed_warp=1.0, seed=54)
-        a = infer(model, env.descriptors, env.poses)
-        b = infer(model, query.descriptors, query.poses)
-        assert np.array_equal(a.scores, b.scores)
+        a = np.vstack(list(score_rows(model, env.descriptors, env.poses)))
+        b = np.vstack(list(score_rows(model, query.descriptors, query.poses)))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 512])
+    def test_reduces_the_stacked_score_rows(self, trained_small, monkeypatch, chunk):
+        # windows in one chunk, in chunks of 7 with a partial last one, one each
+        env, model, _ = trained_small
+        monkeypatch.setattr(spl, "_INFER_CHUNK", chunk)
+        blocks = list(score_rows(model, env.descriptors, env.poses))
+        assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+        want = np.vstack(blocks)
+        got = infer(model, env.descriptors, env.poses)
+        assert np.array_equal(got.predicted, want.argmax(axis=1))
+        assert np.array_equal(got.confidence, want.max(axis=1).astype(np.float64))
+        assert got.n_places == model.config.num_places
+
+    def test_peak_memory_below_one_score_matrix(self):
+        # no (windows, places) float64 matrix: the chunks' float32 scores only
+        n_places, tw, count = 3000, 4, 1200
+        env = synth_traverse(n_places + tw, 8, seed=55)
+        query = DescriptorSequence(data=env.descriptors.data[:count + tw])
+        poses = PoseSequence(data=env.poses.data[:count + tw])
+        model = build_model(ModelConfig.for_traversal(n_places + tw, tw, variant="spl",
+                                                      descriptor_dim=8, hidden_size=8), 56)
+        tracemalloc.start()
+        try:
+            infer(model, query, poses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * count * n_places
 
     def test_query_shorter_than_tw_rejected(self, trained_small):
         env, model, _ = trained_small
@@ -354,7 +386,7 @@ class TestInfer:
         env, model, _ = trained_small
         tw = model.config.tw
         std = apply_standardization(env.poses.data, model.pose_mu, model.pose_sigma)
-        got = infer(model, env.descriptors, env.poses).scores
+        got = np.vstack(list(score_rows(model, env.descriptors, env.poses)))
         for q in range(0, got.shape[0], 5):
             want = spl_window_scores(model, env.descriptors.data[q:q + tw], std[q:q + tw])
             assert np.allclose(got[q], want, atol=1e-6)
@@ -370,9 +402,25 @@ class TestCheckpoints:
         assert loaded.config == model.config
         assert np.array_equal(loaded.pose_mu, model.pose_mu)
         assert np.array_equal(loaded.pose_sigma, model.pose_sigma)
-        a = infer(model, env.descriptors, env.poses)
-        b = infer(loaded, env.descriptors, env.poses)
-        assert np.array_equal(a.scores, b.scores)
+        a = np.vstack(list(score_rows(model, env.descriptors, env.poses)))
+        b = np.vstack(list(score_rows(loaded, env.descriptors, env.poses)))
+        assert np.array_equal(a, b)
+
+    def test_load_holds_one_copy_of_the_file(self, tmp_path):
+        # the parameters are read-only views of the bytes read, not copies
+        cfg = ModelConfig(variant="spl", descriptor_dim=8, num_places=30000, tw=2,
+                          hidden_size=64)
+        path = tmp_path / "big.splm"
+        save_checkpoint(build_model(cfg, seed=3), path)
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the bytes read, plus the one-byte-per-value mask of the finiteness check
+        assert peak <= 1.25 * path.stat().st_size + (1 << 20)
+        assert not any(p.flags.writeable for p in parameter_list(model))
 
     def test_wrong_magic_rejected(self, tmp_path, trained_small):
         _, model, _ = trained_small
@@ -411,5 +459,6 @@ class TestScoresProperties:
         env, model, _ = trained_small
         scores = infer(model, env.descriptors, env.poses)
         from seqplace.core import MatchScores
-        warped = MatchScores.from_scores(np.log(scores.scores + 1e-12) * 2 + 5)
+        rows = np.vstack(list(score_rows(model, env.descriptors, env.poses)))
+        warped = MatchScores.from_scores([np.log(rows + 1e-12) * 2 + 5], scores.n_places)
         assert np.array_equal(scores.predicted, warped.predicted)

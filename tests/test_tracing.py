@@ -31,3 +31,33 @@ def test_tracer_wraps_and_restores_every_traced_name():
         tracer.uninstall()
     for owner, attr, raw in installed:
         assert owner.__dict__[attr] is raw, f"{owner.__name__}.{attr} not restored"
+
+
+def test_every_scoring_command_reduces_through_from_scores(tmp_path):
+    # a producer that bypassed MatchScores.from_scores would make its traced
+    # span, and the benchmark's per-layer metric, read 0
+    synth = tmp_path / "synth"
+    assert cli.main(["synth", "--frames", "40", "--dim", "8", "--seed", "3",
+                     "--noise", "0.05", "--warp", "1.0", "--out", str(synth)]) == 0
+    ref, query = str(synth / "ref_descriptors.spld"), str(synth / "query_descriptors.spld")
+    ckpt = str(tmp_path / "model.splm")
+    assert cli.main(["train", "--desc", ref, "--poses", str(synth / "ref_poses.csv"),
+                     "--tw", "3", "--hidden", "8", "--epochs", "0", "--out", ckpt]) == 0
+    commands = {
+        "infer": ["infer", "--ckpt", ckpt, "--desc", query,
+                  "--poses", str(synth / "query_poses.csv")],
+        "match seqslam": ["match", "--ref", ref, "--query", query, "--method", "seqslam",
+                          "--ds", "4"],
+        "match pairwise": ["match", "--ref", ref, "--query", query, "--method", "pairwise"],
+    }
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, seqplace)
+        for name, argv in commands.items():
+            tracer.reset()
+            assert cli.main(argv + ["--out", str(tmp_path / "scores.csv")]) == 0
+            assert tracer.calls["core.MatchScores.from_scores"] == 1, name
+            assert tracer.self_s["core.MatchScores.from_scores"] > 0.0, name
+    finally:
+        tracer.uninstall()
