@@ -73,41 +73,45 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
 def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
                       metric: str = "cosine") -> np.ndarray:
     """D[i, j] = distance between reference frame i and query frame j, as a
-    C-contiguous float64 array. Finite float32 descriptors give finite,
-    non-negative distances."""
+    float64 (N, Q) array: SAD gives the transpose of a C-contiguous (Q, N)
+    array, so each query's distances are contiguous, and cosine a C array.
+    Finite float32 descriptors give finite, non-negative distances."""
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     if ref.dim != query.dim:
         raise ValidationError(
             f"descriptor dims differ: reference {ref.dim}, query {query.dim}"
         )
-    a = ref.data.astype(np.float64)
     b = query.data.astype(np.float64)
     block = max(1, BLOCK_BYTES // (8 * b.shape[1]))  # rows
     if metric == "sad":
-        n_query = b.shape[0]
-        matrix = np.empty((a.shape[0], n_query))
-        # a query block's difference buffer stays in cache while every
-        # reference row streams past it
-        diff = _aligned_empty((min(block, n_query), b.shape[1]))
-        for j0 in range(0, n_query, block):
-            j1 = min(j0 + block, n_query)
-            d = diff[:j1 - j0]
-            for i in range(a.shape[0]):
-                np.subtract(b[j0:j1], a[i], out=d)
+        n_ref = ref.n_frames
+        matrix = np.empty((b.shape[0], n_ref))
+        # a block of reference rows, widened exactly to float64, stays in
+        # cache while every query row streams past it; |ref - q| is |q - ref|
+        # bit for bit, and each distance is numpy's sum over one row
+        widened = np.empty((min(block, n_ref), b.shape[1]))
+        diff = _aligned_empty(widened.shape)
+        for i0 in range(0, n_ref, block):
+            i1 = min(i0 + block, n_ref)
+            rows, d = widened[:i1 - i0], diff[:i1 - i0]
+            rows[...] = ref.data[i0:i1]
+            for j, q in enumerate(b):
+                np.subtract(rows, q, out=d)
                 np.abs(d, out=d)
-                d.sum(axis=1, out=matrix[i, j0:j1])
-    else:
-        for name, rows in (("reference", a), ("query", b)):
-            # row blocks keep norm's squared copy small; each row's sum is unchanged
-            norms = np.concatenate([np.linalg.norm(rows[i:i + block], axis=1)
-                                    for i in range(0, rows.shape[0], block)])
-            if (norms == 0).any():
-                raise ValidationError(f"zero-norm descriptor at {name} frame "
-                                      f"{int(np.argmax(norms == 0))}: cosine undefined")
-            rows /= norms[:, None]  # a and b are this function's own float64 copies
-        matrix = a @ b.T
-        np.clip(np.subtract(1.0, matrix, out=matrix), 0.0, 2.0, out=matrix)
+                d.sum(axis=1, out=matrix[j, i0:i1])
+        return matrix.T
+    a = ref.data.astype(np.float64)
+    for name, rows in (("reference", a), ("query", b)):
+        # row blocks keep norm's squared copy small; each row's sum is unchanged
+        norms = np.concatenate([np.linalg.norm(rows[i:i + block], axis=1)
+                                for i in range(0, rows.shape[0], block)])
+        if (norms == 0).any():
+            raise ValidationError(f"zero-norm descriptor at {name} frame "
+                                  f"{int(np.argmax(norms == 0))}: cosine undefined")
+        rows /= norms[:, None]  # a and b are this function's own float64 copies
+    matrix = a @ b.T
+    np.clip(np.subtract(1.0, matrix, out=matrix), 0.0, 2.0, out=matrix)
     return matrix
 
 
@@ -121,21 +125,31 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     r_window = int(r_window)
     n_rows, n_cols = d.shape
     w = min(r_window, n_rows)
-    lo = np.clip(np.arange(n_rows) - r_window // 2, 0, n_rows - w)
+    # row i is normalized over the window starting at clip(i - r_window // 2,
+    # 0, n_rows - w): rows [0, a) take the first window, rows [a, b) window
+    # i - r_window // 2, and rows [b, n_rows) the last one
+    half = r_window // 2
+    a, b = min(half, n_rows), min(n_rows - w + half + 1, n_rows)
+    spans = ((slice(0, a), slice(0, 1)), (slice(a, b), slice(a - half, b - half)),
+             (slice(b, n_rows), slice(n_rows - w, n_rows - w + 1)))
     out = np.empty((n_cols, n_rows))
     block = max(1, BLOCK_BYTES // (8 * n_rows))
+    s = np.zeros((min(block, n_cols), n_rows + 1))
+    s2 = np.zeros_like(s)
     for j0 in range(0, n_cols, block):
         # per-column offset keeps the cumulative sums well conditioned (the
         # normalization is shift-invariant, and constant columns become exact)
         shifted = out[j0:j0 + block]
         np.subtract(d[:, j0:j0 + block].T, d[:1, j0:j0 + block].T, out=shifted)
-        s = np.zeros((shifted.shape[0], n_rows + 1))
-        np.cumsum(shifted, axis=1, out=s[:, 1:])
-        s2 = np.zeros_like(s)
-        np.cumsum(shifted * shifted, axis=1, out=s2[:, 1:])
-        mean = (s[:, lo + w] - s[:, lo]) / w
-        var = np.maximum((s2[:, lo + w] - s2[:, lo]) / w - mean * mean, 0.0)
-        np.divide(shifted - mean, np.sqrt(var) + ENHANCE_EPS, out=shifted)
+        c, c2 = s[:shifted.shape[0]], s2[:shifted.shape[0]]
+        np.cumsum(shifted, axis=1, out=c[:, 1:])
+        np.cumsum(shifted * shifted, axis=1, out=c2[:, 1:])
+        mean = (c[:, w:] - c[:, :n_rows - w + 1]) / w
+        var = np.maximum((c2[:, w:] - c2[:, :n_rows - w + 1]) / w - mean * mean, 0.0)
+        scale = np.sqrt(var) + ENHANCE_EPS
+        for rows, windows in spans:
+            shifted[:, rows] -= mean[:, windows]
+            shifted[:, rows] /= scale[:, windows]
     return out.T
 
 
@@ -152,6 +166,17 @@ def _rescaled_rows(values: np.ndarray, block: int, in_place: bool = False):
             np.subtract(hi, values[j:j + block], out=rows)
             rows /= hi - lo
         yield rows
+
+
+def _add_shifted(lines, rows, o, out):
+    """out = lines + rows shifted o places along each row, where the first o
+    entries of a row add that row's first entry; out may be lines."""
+    head = lines[:, :o] + rows[:, :1]
+    # one contiguous add shifts the block by o; it fills the first o entries
+    # of a row from the row above, and those are then rebuilt from head
+    flat = out.reshape(-1)
+    np.add(lines.reshape(-1)[o:], rows.reshape(-1)[:flat.size - o], out=flat[o:])
+    out[:, :o] = head
 
 
 def seqslam_rows(enhanced, cfg: SeqSlamConfig):
@@ -174,9 +199,15 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
             f"matrix {n_ref}x{n_query} too small for ds={cfg.ds}; both sides must exceed ds"
         )
     ds = cfg.ds
-    # capped at n_ref: any larger offset also reads row 0 for every endpoint
+    # capped at n_ref: any larger offset also reads row 0 for every endpoint.
+    # Sorted and deduplicated, line t shares its first starts[t] steps with
+    # line t - 1 and resumes from the sums the first line to take them kept
     offsets = np.rint(np.outer(velocity_grid(cfg), np.arange(ds)))
-    offsets = np.minimum(offsets, n_ref).astype(np.int64)
+    paths = sorted(set(map(tuple, np.minimum(offsets, n_ref).astype(np.int64).tolist())))
+    starts = [0] + [next(k for k, (o, p) in enumerate(zip(*pair)) if o != p)
+                    for pair in zip(paths, paths[1:])]
+    # a line keeps its sums at every depth where a later line resumes
+    kept = [{k for k in starts[t + 1:] if k > start} for t, start in enumerate(starts)]
     # et[j] is query j's column, a view of what contrast_enhance returns; step
     # k at offset o adds et[j - k, i - o] to the line ending at i >= o, and
     # et[j - k, 0] to the lines ending before o
@@ -184,23 +215,32 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     raw = np.zeros((n_query, n_ref))
     raw[ds - 1:] = np.inf
     block = max(1, BLOCK_BYTES // (8 * n_ref))
-    acc = np.empty((block, n_ref))
+    free = []  # block-sized buffers of partial line sums, reused by every block
     for j0 in range(ds - 1, n_query, block):
         j1 = min(j0 + block, n_query)
-        lines = acc[:j1 - j0]
-        flat = lines.reshape(-1)
         best = raw[j0:j1]
-        for line_offsets in offsets:
-            lines[:] = 0.0
-            for k, o in enumerate(line_offsets):
-                rows = et[j0 - k:j1 - k]
-                # one contiguous add shifts the block by o; the first o entries
-                # of a row, which it fills from the row above, are then rebuilt
-                head = lines[:, :o].copy()
-                flat[o:] += rows.reshape(-1)[:flat.size - o]
-                np.add(head, rows[:, :1], out=lines[:, :o])
-            lines /= ds
-            np.minimum(best, lines, out=best)
+        saved = {}  # depth k -> the sums of a line's first k steps, read-only
+        for path, start, keep in zip(paths, starts, kept):
+            for depth in [k for k in saved if k > start]:
+                free.append(saved.pop(depth))
+            if start:
+                lines = saved[start]
+            else:
+                lines = free.pop() if free else np.empty((block, n_ref))
+                lines[:j1 - j0] = 0.0
+            for k in range(start, ds):
+                if k in keep:
+                    saved[k] = lines
+                out = lines
+                if k in saved:
+                    out = free.pop() if free else np.empty((block, n_ref))
+                _add_shifted(lines[:j1 - j0], et[j0 - k:j1 - k], path[k], out[:j1 - j0])
+                lines = out
+            np.minimum(best, lines[:j1 - j0], out=best)
+            free.append(lines)
+        free.extend(saved.values())
+        # division by ds > 0 is monotone, so it commutes with the minimum
+        best /= ds
     return itertools.chain([raw[:ds - 1]], _rescaled_rows(raw[ds - 1:], block, in_place=True))
 
 

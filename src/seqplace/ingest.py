@@ -13,6 +13,7 @@ floats written with repr so they read back bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -123,23 +124,28 @@ def load_descriptors(path) -> DescriptorSequence:
         with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected there
             return _validated(path, DescriptorSequence, np.stack(columns, axis=1))
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError(
-            f"{path}: expected at least {_HEADER.size} header bytes, file has {len(blob)}"
-        )
-    magic, version, n_frames, dim = _HEADER.unpack_from(blob)
-    if magic != DESC_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {DESC_MAGIC!r}")
-    if version != DESC_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + 4 * n_frames * dim
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes for {n_frames}x{dim} descriptors, "
-            f"file has {len(blob)}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n_frames, dim)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(
+                f"{path}: expected at least {_HEADER.size} header bytes, file has {size}"
+            )
+        magic, version, n_frames, dim = _HEADER.unpack(header)
+        if magic != DESC_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {DESC_MAGIC!r}")
+        if version != DESC_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        expected = _HEADER.size + 4 * n_frames * dim
+        if size != expected:
+            raise FormatError(
+                f"{path}: expected {expected} bytes for {n_frames}x{dim} descriptors, "
+                f"file has {size}"
+            )
+        # read straight into one owned array, which DescriptorSequence keeps
+        data = np.empty((n_frames, dim), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise FormatError(f"{path}: file shrank while being read")
+    data.flags.writeable = False
     return _validated(path, DescriptorSequence, data)
 
 

@@ -25,7 +25,7 @@ from seqplace.core import (
     TrainConfig,
     seeded_rng,
 )
-from seqplace.evaluate import GroundTruth, bench_latency, pr_curve_from_arrays
+from seqplace.evaluate import GroundTruth, pr_curve_from_arrays
 from seqplace.ingest import (
     load_descriptors,
     perturb_query,
@@ -257,7 +257,7 @@ def test_c6_pr_auc_oracle():
 def test_c7_latency_scaling():
     """Classical matching scales with the map size; learned inference barely moves."""
     sizes = (500, 1000, 2000)
-    dim, hidden, tw, q_frames, reps = 1024, 160, 10, 300, 4
+    dim, hidden, tw, q_frames, reps = 1024, 160, 10, 300, 8
     setups = {}
     for n_ref in sizes:
         env = synth_traverse(n_ref, dim, seed=21, smoothness=0.8)
@@ -276,24 +276,23 @@ def test_c7_latency_scaling():
 
         setups[n_ref] = (spl_matcher, seq_matcher, (qdesc, qpose))
 
-    # two sweeps; the per-size minimum over all repetitions is the
-    # scheduler-noise-robust cost floor. Each sweep times SPL at all sizes
-    # back to back, then seqslam, so a host slowdown lasting seconds hits
-    # every SPL size alike instead of one of them
+    # one untimed warm-up per matcher and size, then single repetitions taken
+    # in turn across the sizes, the same count for each, so a host slowdown
+    # lasting seconds hits every size alike; the per-size minimum is the
+    # scheduler-noise-robust cost floor (SPL scores q_frames - tw windows)
+    n_queries = (q_frames - tw, q_frames)
+    for spl_matcher, seq_matcher, dataset in setups.values():
+        spl_matcher(dataset)
+        seq_matcher(dataset)
     per_query = {n: [np.inf, np.inf] for n in sizes}
-    for _sweep in range(2):
-        for n_ref in sizes:
-            spl_matcher, _, dataset = setups[n_ref]
-            spl_report = bench_latency(spl_matcher, dataset, reps,
-                                       n_queries=q_frames - tw, name="spl",
-                                       n_frames=n_ref)
-            per_query[n_ref][0] = min(per_query[n_ref][0], spl_report.min_us_per_query)
-        for n_ref in sizes:
-            _, seq_matcher, dataset = setups[n_ref]
-            seq_report = bench_latency(seq_matcher, dataset, reps,
-                                       n_queries=q_frames, name="seqslam",
-                                       n_frames=n_ref)
-            per_query[n_ref][1] = min(per_query[n_ref][1], seq_report.min_us_per_query)
+    for _rep in range(reps):
+        for col in (0, 1):
+            for n_ref in sizes:
+                matcher, dataset = setups[n_ref][col], setups[n_ref][2]
+                start = time.perf_counter()
+                matcher(dataset)
+                us = (time.perf_counter() - start) / n_queries[col] * 1e6
+                per_query[n_ref][col] = min(per_query[n_ref][col], us)
 
     spl = [per_query[n][0] for n in sizes]
     seq = [per_query[n][1] for n in sizes]

@@ -58,18 +58,22 @@ class TestSimilarityMatrix:
         assert np.allclose(d, sad_brute(ref.data.astype(np.float64),
                                         query.data.astype(np.float64)), atol=1e-9)
 
-    @pytest.mark.parametrize("dim", [8, 32, 1024])
+    @pytest.mark.parametrize("dim", [1, 8, 32, 1024])
     def test_blocked_sad_equals_row_loop(self, dim):
-        # query counts around the block size: one short block, one full
-        # block, and full blocks followed by a partial one
+        # reference counts around the reference-block size: one short block,
+        # one full block, and full blocks followed by a partial one; one, a
+        # few and many queries
         rng = seeded_rng(14)
         block = classic.BLOCK_BYTES // (8 * dim)
-        ref = DescriptorSequence(data=rng.standard_normal((5, dim)).astype(np.float32))
-        for n_query in (block // 2 + 1, block, 2 * block + block // 2 + 1):
-            query = DescriptorSequence(
-                data=rng.standard_normal((n_query, dim)).astype(np.float32))
-            d = similarity_matrix(ref, query, metric="sad")
-            assert np.array_equal(d, sad_rowloop(ref.data, query.data))
+        for n_ref in (block // 2 + 1, block, 2 * block + block // 2 + 1):
+            for n_query in (1, 7, min(block + 3, 300)):
+                ref = DescriptorSequence(
+                    data=rng.standard_normal((n_ref, dim)).astype(np.float32))
+                query = DescriptorSequence(
+                    data=rng.standard_normal((n_query, dim)).astype(np.float32))
+                d = similarity_matrix(ref, query, metric="sad")
+                assert d.shape == (n_ref, n_query) and d.dtype == np.float64
+                assert np.array_equal(d, sad_rowloop(ref.data, query.data))
 
     @pytest.mark.parametrize("block_bytes", [8, 8 * 3 * 16, None])
     def test_blocked_cosine_equals_whole_matrix_formula(self, block_bytes, monkeypatch):
@@ -130,17 +134,22 @@ class TestContrastEnhance:
     def test_blocked_equals_whole_matrix_formula(self, monkeypatch, block_columns):
         # column counts that are not a whole number of blocks, maps shorter
         # than the window, a constant column; None keeps the library's own
-        # block budget, which holds 16 columns of a 2000-row map
-        cases = [(40, 23, 10), (6, 11, 10), (3, 8, 4), (2000, 37, 10)]
+        # block budget, which holds 16 columns of a 2000-row map. Also odd
+        # windows, maps of one and two rows, windows at least twice the map,
+        # and column-major input (the layout SAD returns)
+        cases = [(40, 23, 10), (6, 11, 10), (3, 8, 4), (2000, 37, 10), (40, 23, 7),
+                 (25, 9, 3), (1, 5, 2), (2, 6, 3), (1, 4, 9), (2, 7, 4), (5, 6, 11),
+                 (8, 5, 16)]
         rng = seeded_rng(17)
         for n_rows, n_cols, r_window in cases:
             if block_columns is not None:
                 monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * n_rows * block_columns)
             d = rng.uniform(0, 4, (n_rows, n_cols)) + rng.uniform(0, 50, n_cols)
             d[:, n_cols // 2] = 2.5
-            got = contrast_enhance(d, r_window)
-            assert got.shape == (n_rows, n_cols) and got.dtype == np.float64
-            assert np.array_equal(got, enhance_whole(d, r_window))
+            for layout in "CF":
+                got = contrast_enhance(np.asarray(d, order=layout), r_window)
+                assert got.shape == (n_rows, n_cols) and got.dtype == np.float64
+                assert np.array_equal(got, enhance_whole(d, r_window))
 
     def test_single_outlier_becomes_most_negative(self):
         d = np.full((15, 1), 2.0)
@@ -234,6 +243,18 @@ class TestSeqSlamMatch:
             got = seqslam_match(enhanced, cfg)
             assert np.array_equal(got.predicted, want.argmax(axis=1))
             assert np.array_equal(got.confidence, want.max(axis=1))
+
+    @pytest.mark.parametrize("grid", [(0.8, 1.2, 0.1), (1.0, 1.0, 0.1), (0.9, 1.0, 0.01)])
+    def test_shared_prefixes_match_exhaustive_enumeration(self, grid):
+        # at ds 10: the default grid, whose lines share prefixes of 3 and 5
+        # steps; one velocity; and a step so fine that many velocities have
+        # the very same offsets
+        rng = seeded_rng(23)
+        v_min, v_max, v_step = grid
+        cfg = SeqSlamConfig(ds=10, v_min=v_min, v_max=v_max, v_step=v_step, r_window=3)
+        enhanced = rng.standard_normal((30, 24))
+        want = seqslam_scores_brute(enhanced, cfg.ds, velocity_grid(cfg).tolist())
+        assert np.array_equal(stacked(seqslam_rows(enhanced, cfg)), want)
 
     def test_ds_one_equals_pairwise(self):
         rng = seeded_rng(8)
@@ -412,6 +433,20 @@ class TestInputsAndMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= n_arrays * matrix.nbytes + (1 << 20)
+
+    def test_sad_allocations_bounded_by_query_copy_and_output(self):
+        # the output, the float64 query copy and two block buffers: no
+        # float64 copy of the reference map (8 MB here)
+        rng = seeded_rng(24)
+        ref = DescriptorSequence(data=rng.standard_normal((2000, 512)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((100, 512)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            similarity_matrix(ref, query, metric="sad")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2000 * 100 + 100 * 512) + 2 * classic.BLOCK_BYTES + (1 << 20)
 
     def test_cosine_allocations_bounded_by_copies_and_output(self):
         # the float64 copies of both inputs and the output matrix, plus

@@ -71,6 +71,21 @@ class TestDescriptorFiles:
         save_descriptors(path, DescriptorSequence(data=data))
         assert np.array_equal(load_descriptors(path).data, data)
 
+    def test_load_allocates_the_map_once(self, tmp_path):
+        # the payload is read into the array the sequence keeps: one
+        # N x n float32 allocation, no file-sized bytes object beside it
+        data = seeded_rng(4).standard_normal((2000, 256)).astype(np.float32)
+        path = tmp_path / "d.spld"
+        save_descriptors(path, DescriptorSequence(data=data))
+        tracemalloc.start()
+        try:
+            loaded = load_descriptors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.data, data) and not loaded.data.flags.writeable
+        assert peak <= data.nbytes + (1 << 16)
+
     def test_truncated_file_names_byte_counts(self, tmp_path):
         path = tmp_path / "d.spld"
         save_descriptors(path, DescriptorSequence(data=np.ones((4, 4), np.float32)))
