@@ -4,12 +4,11 @@ delta descriptors, and single-frame matching."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DescriptorSequence, MatchScores, ValidationError
+from .core import DescriptorSequence, MatchScores, Rescaled, ValidationError
 
 METRICS = ("sad", "cosine")
 DEFAULT_METRIC = {"seqslam": "sad", "pairwise": "cosine", "delta": "cosine"}
@@ -153,21 +152,6 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     return out.T
 
 
-def _rescaled_rows(values: np.ndarray, block: int, in_place: bool = False):
-    """Yield the rows of values negated and min-max rescaled to [0, 1] over
-    all of them, (hi - v) / (hi - lo), or all ones when they are constant:
-    block rows at a time, as new C arrays or written over values."""
-    lo, hi = values.min(), values.max()
-    for j in range(0, values.shape[0], block):
-        rows = values[j:j + block] if in_place else np.empty(values[j:j + block].shape)
-        if hi == lo:
-            rows[...] = 1.0
-        else:
-            np.subtract(hi, values[j:j + block], out=rows)
-            rows /= hi - lo
-        yield rows
-
-
 def _add_shifted(lines, rows, o, out):
     """out = lines + rows shifted o places along each row, where the first o
     entries of a row add that row's first entry; out may be lines."""
@@ -190,7 +174,8 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     min-max rescaled to [0, 1]; queries with fewer than ds frames of history
     get all-zero rows (the lowest confidence).
 
-    The search runs at once; the returned iterator yields the rescaled rows.
+    The search runs at once. It returns the all-zero rows, then the raw
+    scores of the other queries as one Rescaled record.
     """
     enhanced = np.asarray(enhanced, dtype=np.float64)
     n_ref, n_query = enhanced.shape
@@ -241,7 +226,8 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
         free.extend(saved.values())
         # division by ds > 0 is monotone, so it commutes with the minimum
         best /= ds
-    return itertools.chain([raw[:ds - 1]], _rescaled_rows(raw[ds - 1:], block, in_place=True))
+    searched = raw[ds - 1:]
+    return [raw[:ds - 1], Rescaled(searched, searched.min(), searched.max(), BLOCK_BYTES)]
 
 
 def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
@@ -250,10 +236,10 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
 
 
 def pairwise_rows(matrix):
-    """Single-frame score rows in blocks of queries: row j is one minus the
-    min-max normalized distances of query j (column j of matrix)."""
+    """Single-frame score rows as one Rescaled record: row j is one minus
+    the min-max normalized distances of query j (column j of matrix)."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    return _rescaled_rows(matrix.T, max(1, BLOCK_BYTES // (8 * matrix.shape[0])))
+    return [Rescaled(matrix.T, matrix.min(), matrix.max(), BLOCK_BYTES)]
 
 
 def pairwise_match(matrix) -> MatchScores:

@@ -49,10 +49,15 @@ class RunManifest:
 
 
 def _sha256(path) -> str:
+    # one reused buffer of at most 1 MiB, no larger than the file needs: a
+    # fresh bytes object per chunk page-faults, and zeroing 1 MiB for a
+    # small table costs more than hashing it
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        buf = bytearray(min(1 << 20, os.fstat(fh.fileno()).st_size + 1))
+        view = memoryview(buf)
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 

@@ -7,7 +7,7 @@ import os
 import secrets
 from contextlib import contextmanager, suppress
 from dataclasses import InitVar, dataclass, field, fields
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -189,14 +189,68 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
 
 
+class Rescaled(NamedTuple):
+    """Score rows given as distances, one row per query: the scores are
+    (hi - d) / (hi - lo), or all ones when hi == lo, where lo <= hi bound
+    the distances. MatchScores reduces them without forming them, reading
+    block_bytes of distances at a time in their memory order."""
+
+    distances: np.ndarray
+    lo: float
+    hi: float
+    block_bytes: int
+
+    def score(self, d):
+        return np.subtract(self.hi, d) / (self.hi - self.lo)
+
+    def scores(self):
+        """The score rows when hi != lo, a block of queries at a time."""
+        d = self.distances
+        rows = max(1, self.block_bytes // (8 * d.shape[1]))
+        for j in range(0, d.shape[0], rows):
+            yield self.score(d[j:j + rows])
+
+    def top1(self):
+        """Each row's lowest-index argmax and the score there, or None when
+        a score may not be finite."""
+        d = self.distances
+        if self.hi == self.lo:
+            return np.zeros(d.shape[0], np.intp), np.ones(d.shape[0])
+        dmin = d.min(axis=1)
+        if not (np.isfinite(self.hi - self.lo) and np.isfinite(dmin).all()):
+            return None
+        # a score never rises with d under round-to-nearest, so each row's
+        # best is score(dmin), and its argmaxes lie at or below any t that
+        # scores lower: only those candidates need their score formed
+        best = self.score(dmin)
+        margin = 4 * np.finfo(np.float64).eps * (abs(dmin) + abs(self.hi) + (self.hi - self.lo))
+        while (short := self.score(dmin + margin) >= best).any():
+            margin[short] *= 2
+        t = dmin + margin
+        predicted = np.full(d.shape[0], d.shape[1])
+        place_major = d.strides[1] > d.strides[0]  # the transpose of a C (place, query) array
+        m = d.T if place_major else d
+        step = max(1, self.block_bytes // (8 * m.shape[1]))
+        mask = np.empty((min(step, m.shape[0]), m.shape[1]), bool)
+        for k in range(0, m.shape[0], step):
+            piece, below = m[k:k + step], mask[:min(step, m.shape[0] - k)]
+            np.less_equal(piece, t if place_major else t[k:k + step, None], out=below)
+            a, b = np.divmod(np.flatnonzero(below), m.shape[1])
+            query, place = (b, a + k) if place_major else (a + k, b)
+            hit = self.score(piece[a, b]) == best[query]
+            np.minimum.at(predicted, query[hit], place[hit])
+        return predicted, best
+
+
 @dataclass(frozen=True)
 class MatchScores:
     """Each query's best place among n_places candidates, and its score.
 
-    Reduces blocks of score rows (2-d, n_places columns, any float dtype) as
-    they arrive, so no score matrix need exist: predicted is each row's
-    lowest-index argmax, confidence the score there as float64. A non-finite
-    score is a numerical fault of the producer: NumericsError.
+    Reduces blocks of score rows (2-d, n_places columns, any float dtype, or
+    a Rescaled record) as they arrive, so no score matrix need exist:
+    predicted is each row's lowest-index argmax, confidence the score there
+    as float64. A non-finite score is a numerical fault of the producer:
+    NumericsError.
     """
 
     blocks: InitVar[Iterable]                   # score rows, block by block
@@ -206,17 +260,26 @@ class MatchScores:
 
     def __post_init__(self, blocks):
         predicted, confidence, start = [], [], 0
-        for block in map(np.asarray, blocks):
-            if block.ndim != 2 or block.shape[1] != self.n_places or self.n_places < 1:
+        for block in blocks:
+            rescaled = isinstance(block, Rescaled)
+            shape = np.shape(block.distances if rescaled else block)
+            if len(shape) != 2 or shape[1] != self.n_places or self.n_places < 1:
                 raise ValidationError(f"score rows must be 2-d with {self.n_places} "
-                                      f"columns, got shape {block.shape}")
-            loc = _first_bad(block) if block.size else None
-            if loc is not None:
-                raise NumericsError(
-                    f"non-finite score at query {start + loc[0]}, place {loc[1]}")
-            predicted.append(block.argmax(axis=1))
-            confidence.append(block[np.arange(block.shape[0]), predicted[-1]])
-            start += block.shape[0]
+                                      f"columns, got shape {shape}")
+            top = block.top1() if rescaled else None
+            if top is not None:
+                predicted.append(top[0])
+                confidence.append(top[1])
+                start += shape[0]
+                continue
+            for rows in block.scores() if rescaled else [np.asarray(block)]:
+                loc = _first_bad(rows) if rows.size else None
+                if loc is not None:
+                    raise NumericsError(
+                        f"non-finite score at query {start + loc[0]}, place {loc[1]}")
+                predicted.append(rows.argmax(axis=1))
+                confidence.append(rows[np.arange(rows.shape[0]), predicted[-1]])
+                start += rows.shape[0]
         if start < 1:
             raise ValidationError("scores need at least one query row")
         for name, arr in (("predicted", np.concatenate(predicted)),

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from seqplace.core import ValidationError
+from seqplace.core import Rescaled, ValidationError
 
 
 # --- scalar LSTM reference ------------------------------------------------------
@@ -188,6 +188,19 @@ def line_scores_brute(enhanced, ds, velocities):
                     best = mean
             out[j, i] = best
     return out
+
+
+def score_matrix(blocks):
+    """Stack blocks of score rows into one matrix, forming each Rescaled
+    record's scores with the package's formula: (hi - d) / (hi - lo), two
+    rounded operations, or all ones when hi == lo."""
+    rows = []
+    for block in blocks:
+        if isinstance(block, Rescaled):
+            d, lo, hi = block.distances, block.lo, block.hi
+            block = np.ones(d.shape) if hi == lo else np.subtract(hi, d) / (hi - lo)
+        rows.append(np.asarray(block))
+    return np.vstack(rows)
 
 
 def seqslam_scores_brute(enhanced, ds, velocities):

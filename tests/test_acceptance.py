@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import grad_check, pr_sweep_brute, seqslam_scores_brute
+from oracles import grad_check, pr_sweep_brute, score_matrix, seqslam_scores_brute
 from seqplace import classic, nn
 from seqplace.classic import SeqSlamConfig, seqslam_rows, velocity_grid
 from seqplace.core import (
@@ -218,7 +218,7 @@ def test_c5_matcher_oracle():
         velocities = velocity_grid(cfg)
         assert velocities.size == n_vel
         enhanced = rng.standard_normal((n_ref, n_query))
-        got = np.vstack(list(seqslam_rows(enhanced, cfg)))
+        got = score_matrix(seqslam_rows(enhanced, cfg))
         want = seqslam_scores_brute(enhanced, ds, velocities.tolist())
         assert np.array_equal(got, want), f"trial {trial} diverged"
     print("\nACCEPTANCE C5 matcher-oracle: PASS (500 instances, exact)")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (delta_brute, enhance_brute, enhance_whole, sad_brute, sad_rowloop,
-                     seqslam_scores_brute)
+                     score_matrix, seqslam_scores_brute)
 from seqplace import classic
 from seqplace.classic import (
     SeqSlamConfig,
@@ -18,10 +18,6 @@ from seqplace.classic import (
     velocity_grid,
 )
 from seqplace.core import DescriptorSequence, ValidationError, seeded_rng
-
-
-def stacked(blocks):
-    return np.vstack(list(blocks))
 
 
 def unit_rows(rng, n, dim):
@@ -215,7 +211,7 @@ class TestSeqSlamMatch:
             n_query = int(rng.integers(ds + 1, 11))
             cfg = SeqSlamConfig(ds=ds, v_min=0.6, v_max=1.4, v_step=0.2, r_window=3)
             enhanced = rng.standard_normal((n_ref, n_query))
-            got = stacked(seqslam_rows(enhanced, cfg))
+            got = score_matrix(seqslam_rows(enhanced, cfg))
             want = seqslam_scores_brute(enhanced, ds, velocity_grid(cfg).tolist())
             assert np.array_equal(got, want)
 
@@ -239,7 +235,7 @@ class TestSeqSlamMatch:
             cfg = SeqSlamConfig(ds=ds, v_min=v_min, v_max=v_max, v_step=v_step, r_window=3)
             enhanced = rng.standard_normal((n_ref, n_query))
             want = seqslam_scores_brute(enhanced, ds, velocity_grid(cfg).tolist())
-            assert np.array_equal(stacked(seqslam_rows(enhanced, cfg)), want)
+            assert np.array_equal(score_matrix(seqslam_rows(enhanced, cfg)), want)
             got = seqslam_match(enhanced, cfg)
             assert np.array_equal(got.predicted, want.argmax(axis=1))
             assert np.array_equal(got.confidence, want.max(axis=1))
@@ -254,14 +250,14 @@ class TestSeqSlamMatch:
         cfg = SeqSlamConfig(ds=10, v_min=v_min, v_max=v_max, v_step=v_step, r_window=3)
         enhanced = rng.standard_normal((30, 24))
         want = seqslam_scores_brute(enhanced, cfg.ds, velocity_grid(cfg).tolist())
-        assert np.array_equal(stacked(seqslam_rows(enhanced, cfg)), want)
+        assert np.array_equal(score_matrix(seqslam_rows(enhanced, cfg)), want)
 
     def test_ds_one_equals_pairwise(self):
         rng = seeded_rng(8)
         enhanced = rng.standard_normal((9, 7))
         cfg = SeqSlamConfig(ds=1, v_min=1.0, v_max=1.0, v_step=0.1, r_window=2)
-        assert np.array_equal(stacked(seqslam_rows(enhanced, cfg)),
-                              stacked(pairwise_rows(enhanced)))
+        assert np.array_equal(score_matrix(seqslam_rows(enhanced, cfg)),
+                              score_matrix(pairwise_rows(enhanced)))
         via_lines = seqslam_match(enhanced, cfg)
         via_pairwise = pairwise_match(enhanced)
         assert np.array_equal(via_lines.predicted, via_pairwise.predicted)
@@ -329,7 +325,7 @@ class TestPairwiseMatch:
                 want = np.ones_like(want)
             else:
                 want = (want - want.min()) / (want.max() - want.min())
-            assert np.array_equal(stacked(pairwise_rows(d)), want)
+            assert np.array_equal(score_matrix(pairwise_rows(d)), want)
             got = pairwise_match(d)
             assert np.array_equal(got.predicted, want.argmax(axis=1))
             assert np.array_equal(got.confidence, want.max(axis=1))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -448,3 +449,11 @@ class TestManifest:
             manifest.pop("started_at")
             manifest.pop("finished_at")
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+    def test_input_digest_is_sha256_of_the_bytes(self, tmp_path, size):
+        # sizes around the 1 MiB read buffer: empty, short, exact, one over
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import score_matrix
+from seqplace import classic
 from seqplace.core import (
     CURVE_BLOCK_BYTES,
     DescriptorSequence,
@@ -11,6 +13,7 @@ from seqplace.core import (
     NumericsError,
     PoseSequence,
     PrCurve,
+    Rescaled,
     TrainConfig,
     ValidationError,
     atomic_open,
@@ -172,6 +175,77 @@ class TestMatchScores:
         assert MatchScores.from_scores([scores], 4).predicted.tolist() == [0, 2, 0]
         data = np.full((2, 3), 3e38, dtype=np.float32)
         assert DescriptorSequence(data=data).n_frames == 2
+
+
+def near_ties(rng, n_queries, n_places):
+    """Distances whose scores tie although they differ by a few ulps, the
+    larger distance at the lower index: 1000 - d rounds them together."""
+    d = rng.uniform(10.0, 1000.0, (n_queries, n_places))
+    d[0, 0], d[-1, -1] = 0.0, 1000.0
+    for q in range(n_queries):
+        i = int(rng.integers(1, n_places)) if n_places > 1 else 0
+        d[q, i] = rng.uniform(0.5, 2.0)
+        for j in rng.integers(0, i, 3) if i else ():
+            d[q, j] = d[q, i] + int(rng.integers(1, 4)) * np.spacing(d[q, i])
+    return d
+
+
+class TestRescaled:
+    @staticmethod
+    def cases(rng):
+        yield from (near_ties(rng, int(rng.integers(1, 30)), int(rng.integers(1, 40)))
+                    for _ in range(40))
+        yield np.round(rng.uniform(0, 5, (17, 23)), 1)  # exact ties
+        yield np.full((6, 5), 2.5)                        # constant: all ones
+        yield rng.uniform(0, 5, (1, 31))                  # one query
+        yield rng.uniform(0, 5, (19, 1))                  # one place
+        yield rng.uniform(1e6, 1e6 + 1e-3, (12, 9))       # a span of a few ulps
+
+    @pytest.mark.parametrize("block_bytes", [8, 8 * 3 * 40, None])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_top1_equals_materialized_scores(self, monkeypatch, layout, block_bytes):
+        # C distances are read query by query; F distances (the transpose of
+        # a C place-by-query matrix) place by place; a budget of 8 bytes
+        # takes one row or column at a time, None the library's own budget
+        if block_bytes is not None:
+            monkeypatch.setattr(classic, "BLOCK_BYTES", block_bytes)
+        rng = seeded_rng(31)
+        for d in self.cases(rng):
+            [record] = classic.pairwise_rows(np.array(d.T, order=layout))
+            if min(d.shape) > 1:
+                assert record.distances.flags.c_contiguous == (layout == "F")
+            want = score_matrix([record])
+            got = MatchScores.from_scores([record], d.shape[1])
+            assert np.array_equal(got.predicted, want.argmax(axis=1))
+            assert np.array_equal(got.confidence, want.max(axis=1))
+
+    def test_near_ties_pick_the_lower_index(self):
+        rng = seeded_rng(32)
+        d = near_ties(rng, 50, 30)
+        record = Rescaled(d, d.min(), d.max(), classic.BLOCK_BYTES)
+        want = score_matrix([record]).argmax(axis=1)
+        # the ties are real: in many rows the smallest distance is not the argmax
+        assert (want != d.argmin(axis=1)).sum() > 10
+        assert np.array_equal(MatchScores.from_scores([record], 30).predicted, want)
+
+    def test_non_finite_raises_like_the_score_rows(self):
+        rng = seeded_rng(33)
+        for bad in (np.nan, np.inf, -np.inf):
+            for order in "CF":
+                d = np.array(rng.uniform(0, 5, (7, 6)), order=order)
+                d[5, 2] = bad
+                records = [Rescaled(d, d.min(), d.max(), 64)]
+                if bad != np.inf:  # a row minimum shows it: bounds that miss it are caught
+                    records.append(Rescaled(d, 0.0, 5.0, 64))
+                for record in records:
+                    with np.errstate(invalid="ignore"):
+                        with pytest.raises(NumericsError) as want:
+                            MatchScores.from_scores([np.zeros((2, 6)), score_matrix([record])], 6)
+                        with pytest.raises(NumericsError) as got:
+                            MatchScores.from_scores([np.zeros((2, 6)), record], 6)
+                    assert str(got.value) == str(want.value)
+                if bad != np.inf:  # with finite bounds the bad entry is the first bad score
+                    assert "query 7, place 2" in str(got.value)
 
 
 class TestPrCurve:
