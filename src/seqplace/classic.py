@@ -186,13 +186,12 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     ds = cfg.ds
     # capped at n_ref: any larger offset also reads row 0 for every endpoint.
     # Sorted and deduplicated, line t shares its first starts[t] steps with
-    # line t - 1 and resumes from the sums the first line to take them kept
+    # line t - 1, and with every line since the last one that started below
+    # starts[t]: that line left its sums of those steps in prefix[starts[t]]
     offsets = np.rint(np.outer(velocity_grid(cfg), np.arange(ds)))
     paths = sorted(set(map(tuple, np.minimum(offsets, n_ref).astype(np.int64).tolist())))
     starts = [0] + [next(k for k, (o, p) in enumerate(zip(*pair)) if o != p)
                     for pair in zip(paths, paths[1:])]
-    # a line keeps its sums at every depth where a later line resumes
-    kept = [{k for k in starts[t + 1:] if k > start} for t, start in enumerate(starts)]
     # et[j] is query j's column, a view of what contrast_enhance returns; step
     # k at offset o adds et[j - k, i - o] to the line ending at i >= o, and
     # et[j - k, 0] to the lines ending before o
@@ -200,34 +199,26 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     raw = np.zeros((n_query, n_ref))
     raw[ds - 1:] = np.inf
     block = max(1, BLOCK_BYTES // (8 * n_ref))
-    free = []  # block-sized buffers of partial line sums, reused by every block
+    work = np.empty((block, n_ref))
+    prefix = {k: np.empty_like(work) for k in set(starts[1:])}
     for j0 in range(ds - 1, n_query, block):
         j1 = min(j0 + block, n_query)
         best = raw[j0:j1]
-        saved = {}  # depth k -> the sums of a line's first k steps, read-only
-        for path, start, keep in zip(paths, starts, kept):
-            for depth in [k for k in saved if k > start]:
-                free.append(saved.pop(depth))
-            if start:
-                lines = saved[start]
-            else:
-                lines = free.pop() if free else np.empty((block, n_ref))
-                lines[:j1 - j0] = 0.0
+        for path, start in zip(paths, starts):
+            if not start:
+                work[:j1 - j0] = 0.0
+            lines = prefix[start] if start else work
             for k in range(start, ds):
-                if k in keep:
-                    saved[k] = lines
-                out = lines
-                if k in saved:
-                    out = free.pop() if free else np.empty((block, n_ref))
-                _add_shifted(lines[:j1 - j0], et[j0 - k:j1 - k], path[k], out[:j1 - j0])
-                lines = out
-            np.minimum(best, lines[:j1 - j0], out=best)
-            free.append(lines)
-        free.extend(saved.values())
+                if k > start and k in prefix:
+                    # keep these k-step sums for a later line; swapped, not copied
+                    prefix[k], work = work, prefix[k]
+                    lines = prefix[k]
+                _add_shifted(lines[:j1 - j0], et[j0 - k:j1 - k], path[k], work[:j1 - j0])
+                lines = work
+            np.minimum(best, work[:j1 - j0], out=best)
         # division by ds > 0 is monotone, so it commutes with the minimum
         best /= ds
-    searched = raw[ds - 1:]
-    return [raw[:ds - 1], Rescaled(searched, searched.min(), searched.max(), BLOCK_BYTES)]
+    return [raw[:ds - 1], Rescaled(raw[ds - 1:], BLOCK_BYTES)]
 
 
 def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
@@ -238,8 +229,7 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
 def pairwise_rows(matrix):
     """Single-frame score rows as one Rescaled record: row j is one minus
     the min-max normalized distances of query j (column j of matrix)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return [Rescaled(matrix.T, matrix.min(), matrix.max(), BLOCK_BYTES)]
+    return [Rescaled(np.asarray(matrix, dtype=np.float64).T, BLOCK_BYTES)]
 
 
 def pairwise_match(matrix) -> MatchScores:

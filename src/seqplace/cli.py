@@ -28,26 +28,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Reproducibility record written next to each command's main output."""
-
-    command: str
-    parameters: dict
-    inputs: dict = dataclasses.field(default_factory=dict)
-    seed: int | None = None
-    toolkit_version: str = ""
-    started_at: str = ""
-    finished_at: str = ""
-
-    def write(self, out_path) -> None:
-        from .core import atomic_open
-
-        with atomic_open(f"{out_path}.manifest.json") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
 def _sha256(path) -> str:
     # one reused buffer of at most 1 MiB, no larger than the file needs: a
     # fresh bytes object per chunk page-faults, and zeroing 1 MiB for a
@@ -65,22 +45,22 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _start_manifest(command: str, parameters: dict, input_paths, seed) -> RunManifest:
+def _start_manifest(command: str, parameters: dict, input_paths, seed) -> dict:
+    """The reproducibility record written next to a command's main output."""
     from . import __version__
 
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        inputs={str(p): _sha256(p) for p in input_paths},
-        seed=seed,
-        toolkit_version=__version__,
-        started_at=_utc_now(),
-    )
+    return {"command": command, "parameters": parameters,
+            "inputs": {str(p): _sha256(p) for p in input_paths}, "seed": seed,
+            "toolkit_version": __version__, "started_at": _utc_now()}
 
 
-def _finish(manifest: RunManifest, out_path) -> int:
-    manifest.finished_at = _utc_now()
-    manifest.write(out_path)
+def _finish(manifest: dict, out_path) -> int:
+    from .core import atomic_open
+
+    manifest["finished_at"] = _utc_now()
+    with atomic_open(f"{out_path}.manifest.json") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return EXIT_OK
 
 

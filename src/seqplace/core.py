@@ -189,42 +189,43 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be positive, got {self.batch_size}")
 
 
+def _rescale(d, lo, hi):
+    return np.subtract(hi, d) / (hi - lo)
+
+
 class Rescaled(NamedTuple):
     """Score rows given as distances, one row per query: the scores are
-    (hi - d) / (hi - lo), or all ones when hi == lo, where lo <= hi bound
-    the distances. MatchScores reduces them without forming them, reading
-    block_bytes of distances at a time in their memory order."""
+    (hi - d) / (hi - lo), or all ones when hi == lo, where lo and hi are the
+    least and the greatest distance. MatchScores reduces them without forming
+    them, reading block_bytes of distances at a time in their memory order."""
 
     distances: np.ndarray
-    lo: float
-    hi: float
     block_bytes: int
-
-    def score(self, d):
-        return np.subtract(self.hi, d) / (self.hi - self.lo)
 
     def scores(self):
         """The score rows when hi != lo, a block of queries at a time."""
         d = self.distances
+        lo, hi = d.min(), d.max()
         rows = max(1, self.block_bytes // (8 * d.shape[1]))
         for j in range(0, d.shape[0], rows):
-            yield self.score(d[j:j + rows])
+            yield _rescale(d[j:j + rows], lo, hi)
 
     def top1(self):
         """Each row's lowest-index argmax and the score there, or None when
         a score may not be finite."""
         d = self.distances
-        if self.hi == self.lo:
-            return np.zeros(d.shape[0], np.intp), np.ones(d.shape[0])
         dmin = d.min(axis=1)
-        if not (np.isfinite(self.hi - self.lo) and np.isfinite(dmin).all()):
+        lo, hi = dmin.min(), d.max()
+        if hi == lo:
+            return np.zeros(d.shape[0], np.intp), np.ones(d.shape[0])
+        if not np.isfinite(hi - lo):  # also when a row minimum is not finite
             return None
         # a score never rises with d under round-to-nearest, so each row's
-        # best is score(dmin), and its argmaxes lie at or below any t that
-        # scores lower: only those candidates need their score formed
-        best = self.score(dmin)
-        margin = 4 * np.finfo(np.float64).eps * (abs(dmin) + abs(self.hi) + (self.hi - self.lo))
-        while (short := self.score(dmin + margin) >= best).any():
+        # best is its score at dmin, and its argmaxes lie at or below any t
+        # that scores lower: only those candidates need their score formed
+        best = _rescale(dmin, lo, hi)
+        margin = 4 * np.finfo(np.float64).eps * (abs(dmin) + abs(hi) + (hi - lo))
+        while (short := _rescale(dmin + margin, lo, hi) >= best).any():
             margin[short] *= 2
         t = dmin + margin
         predicted = np.full(d.shape[0], d.shape[1])
@@ -237,7 +238,7 @@ class Rescaled(NamedTuple):
             np.less_equal(piece, t if place_major else t[k:k + step, None], out=below)
             a, b = np.divmod(np.flatnonzero(below), m.shape[1])
             query, place = (b, a + k) if place_major else (a + k, b)
-            hit = self.score(piece[a, b]) == best[query]
+            hit = _rescale(piece[a, b], lo, hi) == best[query]
             np.minimum.at(predicted, query[hit], place[hit])
         return predicted, best
 

@@ -186,6 +186,9 @@ def softmax_cross_entropy_batch(logits, targets):
     return losses, grads
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
@@ -193,9 +196,6 @@ class AdamState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -209,14 +209,14 @@ def adam_step(params, grads, state: AdamState, lr: float):
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for parameter {idx}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 

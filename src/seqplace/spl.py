@@ -374,6 +374,8 @@ def load_checkpoint(path) -> SplModel:
     offset = base
     if not (np.isfinite(pose_mu).all() and np.isfinite(pose_sigma).all()):
         raise FormatError(f"{path}: non-finite pose standardization statistics")
+    if (pose_sigma < 0).any():  # a standard deviation: a negative one would flip that axis
+        raise FormatError(f"{path}: negative pose standard deviation {pose_sigma.tolist()}")
     try:
         cfg = ModelConfig(variant=variant, descriptor_dim=int(n), num_places=int(places),
                           tw=int(tw), hidden_size=int(h), pose_weight=float(pose_weight))

@@ -193,11 +193,13 @@ def line_scores_brute(enhanced, ds, velocities):
 def score_matrix(blocks):
     """Stack blocks of score rows into one matrix, forming each Rescaled
     record's scores with the package's formula: (hi - d) / (hi - lo), two
-    rounded operations, or all ones when hi == lo."""
+    rounded operations, with lo and hi the least and greatest distance, or
+    all ones when hi == lo."""
     rows = []
     for block in blocks:
         if isinstance(block, Rescaled):
-            d, lo, hi = block.distances, block.lo, block.hi
+            d = block.distances
+            lo, hi = d.min(), d.max()
             block = np.ones(d.shape) if hi == lo else np.subtract(hi, d) / (hi - lo)
         rows.append(np.asarray(block))
     return np.vstack(rows)

@@ -240,11 +240,13 @@ class TestSeqSlamMatch:
             assert np.array_equal(got.predicted, want.argmax(axis=1))
             assert np.array_equal(got.confidence, want.max(axis=1))
 
-    @pytest.mark.parametrize("grid", [(0.8, 1.2, 0.1), (1.0, 1.0, 0.1), (0.9, 1.0, 0.01)])
+    @pytest.mark.parametrize("grid", [(0.8, 1.2, 0.1), (1.0, 1.0, 0.1), (0.9, 1.0, 0.01),
+                                      (0.5, 2.0, 0.05)])
     def test_shared_prefixes_match_exhaustive_enumeration(self, grid):
         # at ds 10: the default grid, whose lines share prefixes of 3 and 5
-        # steps; one velocity; and a step so fine that many velocities have
-        # the very same offsets
+        # steps; one velocity; a step so fine that many velocities have the
+        # very same offsets; and 28 lines that resume at depths 1-8 out of
+        # order
         rng = seeded_rng(23)
         v_min, v_max, v_step = grid
         cfg = SeqSlamConfig(ds=10, v_min=v_min, v_max=v_max, v_step=v_step, r_window=3)

@@ -182,6 +182,7 @@ def test_checkpoint(tmp_path, blob):
     if model is not None:
         assert isinstance(model, SplModel)
         assert np.isfinite(model.w_out).all() and np.isfinite(model.pose_sigma).all()
+        assert (model.pose_sigma >= 0).all()
 
 
 @pytest.mark.parametrize("blob", VALID_CKPTS, ids=["spl", "baseline"])

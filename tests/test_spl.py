@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -438,6 +439,14 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_negative_pose_sigma_rejected(self, tmp_path, trained_small):
+        # a negative standard deviation would flip that axis of the query poses
+        _, model, _ = trained_small
+        path = tmp_path / "model.splm"
+        save_checkpoint(dataclasses.replace(model, pose_sigma=np.array([1.5, -1.5])), path)
+        with pytest.raises(FormatError, match="negative pose standard deviation"):
             load_checkpoint(path)
 
     def test_variant_round_trips(self, tmp_path):
