@@ -114,10 +114,14 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
     return matrix
 
 
-def contrast_enhance(matrix, r_window: int) -> np.ndarray:
+def contrast_enhance(matrix, r_window: int, overwrite_input: bool = False) -> np.ndarray:
     """Normalize each entry against the mean/std of the r_window rows
     around it within its column: (D - mu_local) / (sigma_local + 1e-9). Blocks
-    of columns fill a (n_cols, n_rows) C-contiguous array, returned as its .T."""
+    of columns fill a (n_cols, n_rows) C-contiguous array, returned as its .T.
+
+    With overwrite_input, a writeable float64 matrix whose .T is C-contiguous
+    (the layout similarity_matrix gives SAD) is normalized in place and
+    returned; any other input is left as it was."""
     if r_window < 2:
         raise ValidationError(f"r_window must be at least 2, got {r_window}")
     d = np.asarray(matrix, dtype=np.float64)
@@ -131,15 +135,18 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     a, b = min(half, n_rows), min(n_rows - w + half + 1, n_rows)
     spans = ((slice(0, a), slice(0, 1)), (slice(a, b), slice(a - half, b - half)),
              (slice(b, n_rows), slice(n_rows - w, n_rows - w + 1)))
-    out = np.empty((n_cols, n_rows))
+    in_place = overwrite_input and d.flags.writeable and d.T.flags.c_contiguous
+    out = d.T if in_place else np.empty((n_cols, n_rows))
     block = max(1, BLOCK_BYTES // (8 * n_rows))
     s = np.zeros((min(block, n_cols), n_rows + 1))
     s2 = np.zeros_like(s)
     for j0 in range(0, n_cols, block):
         # per-column offset keeps the cumulative sums well conditioned (the
-        # normalization is shift-invariant, and constant columns become exact)
+        # normalization is shift-invariant, and constant columns become exact);
+        # read before an in-place block overwrites it
         shifted = out[j0:j0 + block]
-        np.subtract(d[:, j0:j0 + block].T, d[:1, j0:j0 + block].T, out=shifted)
+        offset = d[0, j0:j0 + block, None].copy()
+        np.subtract(d[:, j0:j0 + block].T, offset, out=shifted)
         c, c2 = s[:shifted.shape[0]], s2[:shifted.shape[0]]
         np.cumsum(shifted, axis=1, out=c[:, 1:])
         np.cumsum(shifted * shifted, axis=1, out=c2[:, 1:])
@@ -163,7 +170,7 @@ def _add_shifted(lines, rows, o, out):
     out[:, :o] = head
 
 
-def seqslam_rows(enhanced, cfg: SeqSlamConfig):
+def seqslam_rows(enhanced, cfg: SeqSlamConfig, overwrite_input: bool = False):
     """Constant-velocity line search over the enhanced matrix.
 
     For query j and candidate endpoint i the raw score is the best (lowest)
@@ -175,7 +182,10 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     get all-zero rows (the lowest confidence).
 
     The search runs at once. It returns the all-zero rows, then the raw
-    scores of the other queries as one Rescaled record.
+    scores of the other queries as one Rescaled record. With overwrite_input,
+    a writeable float64 matrix whose .T is C-contiguous (what contrast_enhance
+    returns) takes those raw scores in its own columns; any other input is
+    left as it was.
     """
     enhanced = np.asarray(enhanced, dtype=np.float64)
     n_ref, n_query = enhanced.shape
@@ -196,14 +206,21 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     # k at offset o adds et[j - k, i - o] to the line ending at i >= o, and
     # et[j - k, 0] to the lines ending before o
     et = np.ascontiguousarray(enhanced.T)
-    raw = np.zeros((n_query, n_ref))
-    raw[ds - 1:] = np.inf
+    in_place = overwrite_input and et.flags.writeable and np.may_share_memory(et, enhanced)
+    # row j - ds + 1 of raw takes query j's raw scores: in place, that is et[j]
+    raw = et[ds - 1:] if in_place else np.empty((n_query - ds + 1, n_ref))
     block = max(1, BLOCK_BYTES // (8 * n_ref))
     work = np.empty((block, n_ref))
     prefix = {k: np.empty_like(work) for k in set(starts[1:])}
-    for j0 in range(ds - 1, n_query, block):
+    # block [j0, j1) reads et rows j0 - ds + 1 .. j1 - 1; in place it writes
+    # rows j0 .. j1 - 1 from its own minimum buffer after its last line, so
+    # going down, no block reads a row that a block before it wrote
+    kept = np.empty_like(work) if in_place else None
+    for j0 in reversed(range(ds - 1, n_query, block)):
         j1 = min(j0 + block, n_query)
-        best = raw[j0:j1]
+        rows = raw[j0 - ds + 1:j1 - ds + 1]
+        best = kept[:j1 - j0] if in_place else rows
+        best[...] = np.inf
         for path, start in zip(paths, starts):
             if not start:
                 work[:j1 - j0] = 0.0
@@ -217,13 +234,14 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
                 lines = work
             np.minimum(best, work[:j1 - j0], out=best)
         # division by ds > 0 is monotone, so it commutes with the minimum
-        best /= ds
-    return [raw[:ds - 1], Rescaled(raw[ds - 1:], BLOCK_BYTES)]
+        np.divide(best, ds, out=rows)
+    return [np.zeros((ds - 1, n_ref)), Rescaled(raw, BLOCK_BYTES)]
 
 
-def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
-    """The best place per query by the line search of seqslam_rows."""
-    return MatchScores.from_scores(seqslam_rows(enhanced, cfg), np.shape(enhanced)[0])
+def seqslam_match(enhanced, cfg: SeqSlamConfig, overwrite_input: bool = False) -> MatchScores:
+    """The best place per query by seqslam_rows' line search (overwrite_input as there)."""
+    rows = seqslam_rows(enhanced, cfg, overwrite_input)
+    return MatchScores.from_scores(rows, np.shape(enhanced)[0])
 
 
 def pairwise_rows(matrix):
@@ -268,7 +286,8 @@ def match(method: str, ref: DescriptorSequence, query: DescriptorSequence,
     """Run a classical method end to end: delta descriptors (delta only),
     the similarity matrix (by default in the method's DEFAULT_METRIC), passed
     to on_matrix when given, then the enhanced line search (seqslam) or
-    single-frame matching."""
+    single-frame matching. on_matrix sees the matrix before the seqslam
+    stages reuse its buffer: it must copy what it keeps."""
     if method not in DEFAULT_METRIC:
         raise ValidationError(f"method must be one of {tuple(DEFAULT_METRIC)}, got {method!r}")
     if method == "delta":
@@ -277,6 +296,7 @@ def match(method: str, ref: DescriptorSequence, query: DescriptorSequence,
     if on_matrix is not None:
         on_matrix(sim)
     if method == "seqslam":
-        sim = contrast_enhance(sim, cfg.r_window)  # frees the raw matrix
-        return seqslam_match(sim, cfg)
+        # this call owns sim, so the stages may work in its buffer
+        sim = contrast_enhance(sim, cfg.r_window, overwrite_input=True)
+        return seqslam_match(sim, cfg, overwrite_input=True)
     return pairwise_match(sim)

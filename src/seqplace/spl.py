@@ -331,18 +331,20 @@ _CKPT_HEAD = struct.Struct("<4sIIIIII")
 def save_checkpoint(model: SplModel, path) -> None:
     if model.dtype != np.float32:
         raise ValidationError("only float32 models are persisted as checkpoints")
+    mu, sigma = (np.asarray(v, dtype="<f8") for v in (model.pose_mu, model.pose_sigma))
+    # what load_checkpoint would reject is refused before anything is written
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise ValidationError("non-finite pose standardization statistics")
+    if (sigma < 0).any():
+        raise ValidationError(f"negative pose standard deviation {sigma.tolist()}")
     cfg = model.config
-    parts = [
-        _CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, _VARIANT_TAGS[cfg.variant],
-                        cfg.descriptor_dim, cfg.hidden_size, cfg.num_places, cfg.tw),
-        struct.pack("<d", cfg.pose_weight),
-        np.asarray(model.pose_mu, dtype="<f8").tobytes(),
-        np.asarray(model.pose_sigma, dtype="<f8").tobytes(),
-    ]
-    for tensor in parameter_list(model):
-        parts.append(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+    head = _CKPT_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, _VARIANT_TAGS[cfg.variant],
+                           cfg.descriptor_dim, cfg.hidden_size, cfg.num_places, cfg.tw)
     with atomic_open(path, binary=True) as fh:
-        fh.write(b"".join(parts))
+        fh.write(head + struct.pack("<d", cfg.pose_weight) + mu.tobytes() + sigma.tobytes())
+        for tensor in parameter_list(model):
+            # the little-endian float32 tensor itself, not a bytes copy of it
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4").data)
 
 
 def _tensor_shapes(cfg: ModelConfig) -> list:

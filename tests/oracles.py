@@ -5,6 +5,7 @@ loops and stays independent of the library's vectorized code paths.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -313,3 +314,15 @@ def adam_scalar_steps(grad, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         p -= lr * m_hat / (math.sqrt(v_hat) + eps)
         values.append(p)
     return values
+
+
+# --- memory -----------------------------------------------------------------------
+
+def traced_peak(run) -> int:
+    """The peak of the bytes tracemalloc traces while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

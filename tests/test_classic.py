@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from oracles import (delta_brute, enhance_brute, enhance_whole, sad_brute, sad_rowloop,
-                     score_matrix, seqslam_scores_brute)
+                     score_matrix, seqslam_scores_brute, traced_peak)
 from seqplace import classic
 from seqplace.classic import (
     SeqSlamConfig,
@@ -351,7 +349,8 @@ class TestMatchPipeline:
         ]
         for args, want, matrix in cases:
             seen = []
-            got = classic.match(args[0], ref, query, cfg, *args[1:], on_matrix=seen.append)
+            got = classic.match(args[0], ref, query, cfg, *args[1:],
+                                on_matrix=lambda m: seen.append(m.copy()))
             assert np.array_equal(got.predicted, want.predicted), args
             assert np.array_equal(got.confidence, want.confidence), args
             assert len(seen) == 1 and np.array_equal(seen[0], matrix), args
@@ -400,12 +399,17 @@ class TestDeltaDescriptors:
 
 
 class TestInputsAndMemory:
-    @pytest.mark.parametrize("stage", ["contrast_enhance", "seqslam_match", "pairwise_match"])
+    @pytest.mark.parametrize("stage, overwrite_input", [
+        ("contrast_enhance", False), ("seqslam_match", False), ("pairwise_match", False),
+        ("contrast_enhance", True), ("seqslam_match", True)],
+        ids=["contrast_enhance", "seqslam_match", "pairwise_match",
+             "contrast_enhance-overwrite", "seqslam_match-overwrite"])
     @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_read_only_input_left_unchanged(self, stage, layout):
+    def test_read_only_input_left_unchanged(self, stage, overwrite_input, layout):
         run = {
-            "contrast_enhance": lambda m: contrast_enhance(m, 4),
-            "seqslam_match": lambda m: seqslam_match(m, SeqSlamConfig(ds=3, r_window=4)),
+            "contrast_enhance": lambda m: contrast_enhance(m, 4, overwrite_input),
+            "seqslam_match": lambda m: seqslam_match(m, SeqSlamConfig(ds=3, r_window=4),
+                                                     overwrite_input),
             "pairwise_match": pairwise_match,
         }[stage]
         rng = seeded_rng(18)
@@ -414,6 +418,33 @@ class TestInputsAndMemory:
         matrix.flags.writeable = False
         run(matrix)
         assert matrix.tobytes(order="A") == before
+
+    @pytest.mark.parametrize("ds", [1, 2, 10])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_overwrite_input_gives_the_same_matches(self, monkeypatch, ds, layout):
+        # blocks of 3 queries, so the in-place line search writes many
+        # descending blocks, the last one partial; only an F (N, Q) input
+        # (a C (Q, N) buffer, as SAD returns) is worked on in place
+        monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * 40 * 3)
+        rng = seeded_rng(25)
+        cfg = SeqSlamConfig(ds=ds, r_window=6)
+        matrix = np.array(rng.uniform(0, 3, (40, 38)), order=layout)
+        enhanced = contrast_enhance(matrix, cfg.r_window)
+        want = seqslam_match(enhanced, cfg)
+        given = np.array(matrix, order=layout)
+        got = contrast_enhance(given, cfg.r_window, overwrite_input=True)
+        assert np.array_equal(got, enhanced)
+        assert np.shares_memory(got, given) == (layout == "F")
+        given = np.array(enhanced, order=layout)
+        rows = seqslam_rows(given, cfg, overwrite_input=True)
+        assert np.shares_memory(rows[1].distances, given) == (layout == "F")
+        assert np.array_equal(score_matrix(rows), score_matrix(seqslam_rows(enhanced, cfg)))
+        for got in (seqslam_match(np.array(enhanced, order=layout), cfg, overwrite_input=True),
+                    seqslam_match(contrast_enhance(np.array(matrix, order=layout), cfg.r_window,
+                                                   overwrite_input=True),
+                                  cfg, overwrite_input=True)):
+            assert np.array_equal(got.predicted, want.predicted)
+            assert np.array_equal(got.confidence, want.confidence)
 
     def test_allocations_bounded_by_outputs(self):
         # the enhanced matrix and the line-search scores for seqslam, only
@@ -424,13 +455,18 @@ class TestInputsAndMemory:
             (lambda: seqslam_match(contrast_enhance(matrix, 10), SeqSlamConfig()), 2),
             (lambda: pairwise_match(matrix), 0),
         ):
-            tracemalloc.start()
-            try:
-                run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= n_arrays * matrix.nbytes + (1 << 20)
+            assert traced_peak(run) <= n_arrays * matrix.nbytes + (1 << 20)
+
+    def test_seqslam_pipeline_holds_one_matrix(self):
+        # SAD's N x Q matrix, its float64 query copy and block buffers (SAD's
+        # two, enhancement's sums and temporaries, the line search's work,
+        # prefix and minimum buffers): enhancement and the line search work
+        # in the SAD buffer, with no second N x Q matrix (4.8 MB here)
+        rng = seeded_rng(26)
+        ref = DescriptorSequence(data=rng.standard_normal((2000, 64)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((300, 64)).astype(np.float32))
+        peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig()))
+        assert peak <= 8 * (2000 * 300 + 300 * 64) + 8 * classic.BLOCK_BYTES + (1 << 20)
 
     def test_sad_allocations_bounded_by_query_copy_and_output(self):
         # the output, the float64 query copy and two block buffers: no
@@ -438,12 +474,7 @@ class TestInputsAndMemory:
         rng = seeded_rng(24)
         ref = DescriptorSequence(data=rng.standard_normal((2000, 512)).astype(np.float32))
         query = DescriptorSequence(data=rng.standard_normal((100, 512)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            similarity_matrix(ref, query, metric="sad")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: similarity_matrix(ref, query, metric="sad"))
         assert peak <= 8 * (2000 * 100 + 100 * 512) + 2 * classic.BLOCK_BYTES + (1 << 20)
 
     def test_cosine_allocations_bounded_by_copies_and_output(self):
@@ -452,10 +483,5 @@ class TestInputsAndMemory:
         rng = seeded_rng(20)
         ref = DescriptorSequence(data=rng.standard_normal((2000, 512)).astype(np.float32))
         query = DescriptorSequence(data=rng.standard_normal((100, 512)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            similarity_matrix(ref, query, metric="cosine")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: similarity_matrix(ref, query, metric="cosine"))
         assert peak <= 8 * (2000 * 512 + 100 * 512 + 2000 * 100) + (1 << 20)

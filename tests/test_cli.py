@@ -273,11 +273,16 @@ class TestInferAndEval:
 
     def test_non_finite_checkpoint_rejected(self, synth_dir, trained, tmp_path):
         clean = load_checkpoint(trained)
+        w_out = clean.w_out.copy()
+        w_out.flat[0] = np.nan
+        save_checkpoint(dataclasses.replace(clean, w_out=w_out), tmp_path / "nan_w_out.splm")
+        # save_checkpoint refuses a non-finite sigma, so it goes into the bytes:
+        # sigma[0] follows the 28-byte header, the pose weight and mu
+        blob = bytearray(trained.read_bytes())
+        blob[52:60] = np.array(np.nan, "<f8").tobytes()
+        (tmp_path / "nan_pose_sigma.splm").write_bytes(bytes(blob))
         for name in ("w_out", "pose_sigma"):
-            poisoned = getattr(clean, name).copy()
-            poisoned.flat[0] = np.nan
             ckpt = tmp_path / f"nan_{name}.splm"
-            save_checkpoint(dataclasses.replace(clean, **{name: poisoned}), ckpt)
             scores = tmp_path / f"nan_{name}.csv"
             code = run("infer", "--ckpt", str(ckpt),
                        "--desc", str(synth_dir / "query_descriptors.spld"),

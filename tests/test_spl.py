@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import grad_check, linear, scalar_lstm_step, spl_window_scores
+from oracles import grad_check, linear, scalar_lstm_step, spl_window_scores, traced_peak
 from seqplace import nn, spl
 from seqplace.core import (
     DescriptorSequence,
@@ -423,6 +423,14 @@ class TestCheckpoints:
         assert peak <= 1.25 * path.stat().st_size + (1 << 20)
         assert not any(p.flags.writeable for p in parameter_list(model))
 
+    def test_save_makes_no_copy_of_the_parameters(self, tmp_path):
+        # each float32 tensor goes to the file as it is: no bytes copies (the
+        # parameters are 7.7 MB here)
+        cfg = ModelConfig(variant="spl", descriptor_dim=8, num_places=30000, tw=2,
+                          hidden_size=64)
+        model = build_model(cfg, seed=3)
+        assert traced_peak(lambda: save_checkpoint(model, tmp_path / "big.splm")) <= 1 << 20
+
     def test_wrong_magic_rejected(self, tmp_path, trained_small):
         _, model, _ = trained_small
         path = tmp_path / "model.splm"
@@ -445,9 +453,26 @@ class TestCheckpoints:
         # a negative standard deviation would flip that axis of the query poses
         _, model, _ = trained_small
         path = tmp_path / "model.splm"
-        save_checkpoint(dataclasses.replace(model, pose_sigma=np.array([1.5, -1.5])), path)
+        with pytest.raises(ValidationError, match="negative pose standard deviation"):
+            save_checkpoint(dataclasses.replace(model, pose_sigma=np.array([1.5, -1.5])), path)
+        assert not path.exists()
+        # sigma[1] follows the 28-byte header, the pose weight, mu and sigma[0]
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[60:68] = np.array(-1.5, "<f8").tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="negative pose standard deviation"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["pose_mu", "pose_sigma"])
+    def test_non_finite_pose_statistics_not_saved(self, tmp_path, trained_small, name):
+        _, model, _ = trained_small
+        path = tmp_path / "model.splm"
+        for bad in (np.nan, np.inf):
+            values = np.array([1.0, bad])
+            with pytest.raises(ValidationError, match="non-finite pose"):
+                save_checkpoint(dataclasses.replace(model, **{name: values}), path)
+            assert not path.exists()
 
     def test_variant_round_trips(self, tmp_path):
         cfg = ModelConfig(variant="baseline", descriptor_dim=4, num_places=6, tw=2,
