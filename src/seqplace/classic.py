@@ -114,19 +114,25 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
     return matrix
 
 
-def contrast_enhance(matrix, r_window: int, overwrite_input: bool = False) -> np.ndarray:
-    """Normalize each entry against the mean/std of the r_window rows
-    around it within its column: (D - mu_local) / (sigma_local + 1e-9). Blocks
-    of columns fill a (n_cols, n_rows) C-contiguous array, returned as its .T.
+def _query_major(matrix) -> np.ndarray:
+    """The C-contiguous float64 (n_cols, n_rows) array the seqslam stages
+    work in: matrix.T itself when that is a writeable float64 C array (as
+    similarity_matrix gives SAD), otherwise one copy of it."""
+    return np.require(np.asarray(matrix).T, np.float64, ["C", "W"])
 
-    With overwrite_input, a writeable float64 matrix whose .T is C-contiguous
-    (the layout similarity_matrix gives SAD) is normalized in place and
-    returned; any other input is left as it was."""
+
+def contrast_enhance(matrix, r_window: int) -> np.ndarray:
+    """Normalize each entry against the mean/std of the r_window rows
+    around it within its column: (D - mu_local) / (sigma_local + 1e-9), a
+    block of columns at a time. A writeable float64 matrix whose .T is
+    C-contiguous (as SAD gives) is normalized in place and returned; any other
+    input (read-only, a C (N, Q) array, another dtype) is copied once and left
+    as it was."""
     if r_window < 2:
         raise ValidationError(f"r_window must be at least 2, got {r_window}")
-    d = np.asarray(matrix, dtype=np.float64)
+    out = _query_major(matrix)
     r_window = int(r_window)
-    n_rows, n_cols = d.shape
+    n_cols, n_rows = out.shape
     w = min(r_window, n_rows)
     # row i is normalized over the window starting at clip(i - r_window // 2,
     # 0, n_rows - w): rows [0, a) take the first window, rows [a, b) window
@@ -135,18 +141,15 @@ def contrast_enhance(matrix, r_window: int, overwrite_input: bool = False) -> np
     a, b = min(half, n_rows), min(n_rows - w + half + 1, n_rows)
     spans = ((slice(0, a), slice(0, 1)), (slice(a, b), slice(a - half, b - half)),
              (slice(b, n_rows), slice(n_rows - w, n_rows - w + 1)))
-    in_place = overwrite_input and d.flags.writeable and d.T.flags.c_contiguous
-    out = d.T if in_place else np.empty((n_cols, n_rows))
     block = max(1, BLOCK_BYTES // (8 * n_rows))
     s = np.zeros((min(block, n_cols), n_rows + 1))
     s2 = np.zeros_like(s)
     for j0 in range(0, n_cols, block):
         # per-column offset keeps the cumulative sums well conditioned (the
         # normalization is shift-invariant, and constant columns become exact);
-        # read before an in-place block overwrites it
+        # copied, as the subtraction overwrites it
         shifted = out[j0:j0 + block]
-        offset = d[0, j0:j0 + block, None].copy()
-        np.subtract(d[:, j0:j0 + block].T, offset, out=shifted)
+        shifted -= shifted[:, :1].copy()
         c, c2 = s[:shifted.shape[0]], s2[:shifted.shape[0]]
         np.cumsum(shifted, axis=1, out=c[:, 1:])
         np.cumsum(shifted * shifted, axis=1, out=c2[:, 1:])
@@ -170,7 +173,7 @@ def _add_shifted(lines, rows, o, out):
     out[:, :o] = head
 
 
-def seqslam_rows(enhanced, cfg: SeqSlamConfig, overwrite_input: bool = False):
+def seqslam_rows(enhanced, cfg: SeqSlamConfig):
     """Constant-velocity line search over the enhanced matrix.
 
     For query j and candidate endpoint i the raw score is the best (lowest)
@@ -182,13 +185,12 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig, overwrite_input: bool = False):
     get all-zero rows (the lowest confidence).
 
     The search runs at once. It returns the all-zero rows, then the raw
-    scores of the other queries as one Rescaled record. With overwrite_input,
-    a writeable float64 matrix whose .T is C-contiguous (what contrast_enhance
-    returns) takes those raw scores in its own columns; any other input is
-    left as it was.
+    scores of the other queries as one Rescaled record. Those scores take
+    the place of the enhanced columns of a writeable float64 matrix whose .T
+    is C-contiguous (what contrast_enhance returns); any other input is
+    copied once and left as it was.
     """
-    enhanced = np.asarray(enhanced, dtype=np.float64)
-    n_ref, n_query = enhanced.shape
+    n_ref, n_query = np.shape(enhanced)
     if n_ref <= cfg.ds or n_query <= cfg.ds:
         raise ValidationError(
             f"matrix {n_ref}x{n_query} too small for ds={cfg.ds}; both sides must exceed ds"
@@ -202,24 +204,20 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig, overwrite_input: bool = False):
     paths = sorted(set(map(tuple, np.minimum(offsets, n_ref).astype(np.int64).tolist())))
     starts = [0] + [next(k for k, (o, p) in enumerate(zip(*pair)) if o != p)
                     for pair in zip(paths, paths[1:])]
-    # et[j] is query j's column, a view of what contrast_enhance returns; step
-    # k at offset o adds et[j - k, i - o] to the line ending at i >= o, and
-    # et[j - k, 0] to the lines ending before o
-    et = np.ascontiguousarray(enhanced.T)
-    in_place = overwrite_input and et.flags.writeable and np.may_share_memory(et, enhanced)
-    # row j - ds + 1 of raw takes query j's raw scores: in place, that is et[j]
-    raw = et[ds - 1:] if in_place else np.empty((n_query - ds + 1, n_ref))
+    # et[j] is query j's column; step k at offset o adds et[j - k, i - o] to
+    # the line ending at i >= o, and et[j - k, 0] to the lines ending before
+    # o. Query j's raw scores then replace et[j]
+    et = _query_major(enhanced)
     block = max(1, BLOCK_BYTES // (8 * n_ref))
     work = np.empty((block, n_ref))
     prefix = {k: np.empty_like(work) for k in set(starts[1:])}
-    # block [j0, j1) reads et rows j0 - ds + 1 .. j1 - 1; in place it writes
-    # rows j0 .. j1 - 1 from its own minimum buffer after its last line, so
-    # going down, no block reads a row that a block before it wrote
-    kept = np.empty_like(work) if in_place else None
+    # block [j0, j1) reads et rows j0 - ds + 1 .. j1 - 1 and writes rows
+    # j0 .. j1 - 1 from its own minimum buffer after its last line, so going
+    # down, no block reads a row that a block before it wrote
+    kept = np.empty_like(work)
     for j0 in reversed(range(ds - 1, n_query, block)):
         j1 = min(j0 + block, n_query)
-        rows = raw[j0 - ds + 1:j1 - ds + 1]
-        best = kept[:j1 - j0] if in_place else rows
+        best = kept[:j1 - j0]
         best[...] = np.inf
         for path, start in zip(paths, starts):
             if not start:
@@ -234,13 +232,13 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig, overwrite_input: bool = False):
                 lines = work
             np.minimum(best, work[:j1 - j0], out=best)
         # division by ds > 0 is monotone, so it commutes with the minimum
-        np.divide(best, ds, out=rows)
-    return [np.zeros((ds - 1, n_ref)), Rescaled(raw, BLOCK_BYTES)]
+        np.divide(best, ds, out=et[j0:j1])
+    return [np.zeros((ds - 1, n_ref)), Rescaled(et[ds - 1:], BLOCK_BYTES)]
 
 
-def seqslam_match(enhanced, cfg: SeqSlamConfig, overwrite_input: bool = False) -> MatchScores:
-    """The best place per query by seqslam_rows' line search (overwrite_input as there)."""
-    rows = seqslam_rows(enhanced, cfg, overwrite_input)
+def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
+    """The best place per query by seqslam_rows' line search (in place as there)."""
+    rows = seqslam_rows(enhanced, cfg)
     return MatchScores.from_scores(rows, np.shape(enhanced)[0])
 
 
@@ -296,7 +294,6 @@ def match(method: str, ref: DescriptorSequence, query: DescriptorSequence,
     if on_matrix is not None:
         on_matrix(sim)
     if method == "seqslam":
-        # this call owns sim, so the stages may work in its buffer
-        sim = contrast_enhance(sim, cfg.r_window, overwrite_input=True)
-        return seqslam_match(sim, cfg, overwrite_input=True)
+        # sim is this call's own, so the stages may work in its buffer
+        return seqslam_match(contrast_enhance(sim, cfg.r_window), cfg)
     return pairwise_match(sim)

@@ -257,7 +257,7 @@ def cmd_bench(args) -> int:
               "hidden": args.hidden, "tw": args.tw, "reps": args.reps,
               "queries": args.queries}
     manifest = _start_manifest("bench", params, [], args.seed)
-    reports = []
+    cases = []
     for n_ref in sizes:
         if n_ref <= args.tw:
             raise ValidationError(f"size {n_ref} must exceed tw={args.tw}")
@@ -266,7 +266,6 @@ def cmd_bench(args) -> int:
         kept = SyntheticEnv(DescriptorSequence(data=env.descriptors.data[:args.queries]),
                             PoseSequence(data=env.poses.data[:args.queries]))
         query, _ = perturb_query(kept, 0.05, 1.0, args.seed + 1)
-        dataset = (query.descriptors, query.poses)
         for method in methods:
             # spl scores one window of tw frames per start frame
             n_queries = query.descriptors.n_frames - (args.tw if method == "spl" else 0)
@@ -274,19 +273,17 @@ def cmd_bench(args) -> int:
                 cfg = ModelConfig.for_traversal(
                     n_ref, args.tw, variant="spl", descriptor_dim=args.dim,
                     hidden_size=args.hidden)
-                model = build_model(cfg, args.seed)
-
-                def matcher(ds, model=model):
-                    return infer(model, ds[0], ds[1])
+                run = functools.partial(infer, build_model(cfg, args.seed),
+                                        query.descriptors, query.poses)
             else:
-                def matcher(ds, env=env, method=method):
-                    return match(method, env.descriptors, ds[0], SeqSlamConfig(ds=args.tw))
-            reports.append(bench_latency(matcher, dataset, args.reps,
-                                         n_queries=n_queries,
-                                         name=method, n_frames=n_ref))
-            last = reports[-1]
-            print(f"{method} N={n_ref}: mean {last.mean_us_per_query:.1f} us/query "
-                  f"(min {last.min_us_per_query:.1f}, p95 {last.p95_us_per_query:.1f})")
+                run = functools.partial(match, method, env.descriptors, query.descriptors,
+                                        SeqSlamConfig(ds=args.tw))
+            cases.append((method, n_ref, n_queries, run))
+    reports = bench_latency(cases, args.reps)
+    for report in reports:
+        print(f"{report.matcher} N={report.n_frames}: mean {report.mean_us_per_query:.1f} "
+              f"us/query (min {report.min_us_per_query:.1f}, "
+              f"p95 {report.p95_us_per_query:.1f})")
     write_latency_json(args.out, reports)
     return _finish(manifest, args.out)
 

@@ -136,28 +136,28 @@ def pr_curve_from_arrays(predicted, confidence, gt: GroundTruth, ref_poses=None)
     return PrCurve(threshold=-values, precision=precision, recall=recall)
 
 
-def bench_latency(matcher, dataset, repetitions: int, n_queries: int,
-                  name: str = "matcher", n_frames: int | None = None) -> LatencyReport:
-    """Time full query passes: one warm-up (excluded), then `repetitions`
-    measured runs of matcher(dataset)."""
+def bench_latency(cases, repetitions: int) -> list:
+    """Time full passes of each case's run(), given as (name, n_frames,
+    n_queries, run) tuples: one untimed warm-up per case, then `repetitions`
+    rounds that time one run of every case in turn, so a host slowdown
+    lasting seconds hits every case alike. One LatencyReport per case."""
     if repetitions < 3:
         raise ValidationError(f"repetitions must be at least 3, got {repetitions}")
-    if n_queries < 1:
+    if any(n_queries < 1 for _, _, n_queries, _ in cases):
         raise ValidationError("n_queries must be positive")
-    try:
-        matcher(dataset)  # warm-up, excluded from timing
-    except Exception as exc:
-        raise ValidationError(f"{name} failed during warm-up: {exc}") from exc
-    times = []
-    for rep in range(repetitions):
-        start = time.perf_counter()
-        try:
-            matcher(dataset)
-        except Exception as exc:
-            raise ValidationError(f"{name} failed at repetition {rep}: {exc}") from exc
-        times.append(time.perf_counter() - start)
-    return LatencyReport(matcher=name, n_frames=n_queries if n_frames is None else n_frames,
-                         n_queries=n_queries, rep_seconds=tuple(times))
+    times = [[] for _ in cases]
+    for rep in range(-1, repetitions):  # round -1 is the warm-up, dropped below
+        for (name, _, _, run), kept in zip(cases, times):
+            start = time.perf_counter()
+            try:
+                run()
+            except Exception as exc:
+                when = f"at repetition {rep}" if rep >= 0 else "during warm-up"
+                raise ValidationError(f"{name} failed {when}: {exc}") from exc
+            kept.append(time.perf_counter() - start)
+    return [LatencyReport(matcher=name, n_frames=n_frames, n_queries=n_queries,
+                          rep_seconds=tuple(kept[1:]))
+            for (name, n_frames, n_queries, _), kept in zip(cases, times)]
 
 
 # --- plain-text output ---------------------------------------------------------

@@ -8,6 +8,7 @@ Run with:
     pytest tests/test_acceptance.py -v -s
 """
 
+import functools
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from seqplace.core import (
     TrainConfig,
     seeded_rng,
 )
-from seqplace.evaluate import GroundTruth, pr_curve_from_arrays
+from seqplace.evaluate import GroundTruth, bench_latency, pr_curve_from_arrays
 from seqplace.ingest import (
     load_descriptors,
     perturb_query,
@@ -258,7 +259,7 @@ def test_c7_latency_scaling():
     """Classical matching scales with the map size; learned inference barely moves."""
     sizes = (500, 1000, 2000)
     dim, hidden, tw, q_frames, reps = 1024, 160, 10, 300, 8
-    setups = {}
+    spl_cases, seq_cases = [], []
     for n_ref in sizes:
         env = synth_traverse(n_ref, dim, seed=21, smoothness=0.8)
         query, _ = perturb_query(env, noise_sigma=0.05, speed_warp=1.0, seed=22)
@@ -267,35 +268,19 @@ def test_c7_latency_scaling():
         cfg = ModelConfig.for_traversal(n_ref, tw, variant="spl",
                                         descriptor_dim=dim, hidden_size=hidden)
         model = build_model(cfg, seed=5)
+        # SPL scores q_frames - tw windows
+        spl_cases.append(("spl", n_ref, q_frames - tw,
+                          functools.partial(infer, model, qdesc, qpose)))
+        seq_cases.append(("seqslam", n_ref, q_frames,
+                          functools.partial(classic.match, "seqslam", env.descriptors, qdesc,
+                                            SeqSlamConfig(ds=tw))))
 
-        def spl_matcher(ds, model=model):
-            return infer(model, ds[0], ds[1])
-
-        def seq_matcher(ds, env=env):
-            return classic.match("seqslam", env.descriptors, ds[0], SeqSlamConfig(ds=tw))
-
-        setups[n_ref] = (spl_matcher, seq_matcher, (qdesc, qpose))
-
-    # one untimed warm-up per matcher and size, then single repetitions taken
-    # in turn across the sizes, the same count for each, so a host slowdown
-    # lasting seconds hits every size alike; the per-size minimum is the
-    # scheduler-noise-robust cost floor (SPL scores q_frames - tw windows)
-    n_queries = (q_frames - tw, q_frames)
-    for spl_matcher, seq_matcher, dataset in setups.values():
-        spl_matcher(dataset)
-        seq_matcher(dataset)
-    per_query = {n: [np.inf, np.inf] for n in sizes}
-    for _rep in range(reps):
-        for col in (0, 1):
-            for n_ref in sizes:
-                matcher, dataset = setups[n_ref][col], setups[n_ref][2]
-                start = time.perf_counter()
-                matcher(dataset)
-                us = (time.perf_counter() - start) / n_queries[col] * 1e6
-                per_query[n_ref][col] = min(per_query[n_ref][col], us)
-
-    spl = [per_query[n][0] for n in sizes]
-    seq = [per_query[n][1] for n in sizes]
+    # single repetitions taken in turn across the sizes, the same count for
+    # each, so a host slowdown lasting seconds hits every size alike; the
+    # per-size minimum is the scheduler-noise-robust cost floor
+    reports = bench_latency(spl_cases + seq_cases, reps)
+    spl = [r.min_us_per_query for r in reports[:len(sizes)]]
+    seq = [r.min_us_per_query for r in reports[len(sizes):]]
     # classical search grows at least linearly (allowing fixed overhead)
     assert seq[1] >= 1.5 * seq[0], f"seqslam growth 500->1000: {seq[1] / seq[0]:.2f}x"
     assert seq[2] >= 1.5 * seq[1], f"seqslam growth 1000->2000: {seq[2] / seq[1]:.2f}x"

@@ -340,8 +340,9 @@ class TestMatchPipeline:
         sad = similarity_matrix(ref, query, metric="sad")
         cosine = similarity_matrix(ref, query, metric="cosine")
         delta = similarity_matrix(delta_descriptors(ref, 3), delta_descriptors(query, 3))
+        # a copy of SAD's matrix, which the seqslam stages overwrite
         cases = [
-            (("seqslam",), seqslam_match(contrast_enhance(sad, 6), cfg), sad),
+            (("seqslam",), seqslam_match(contrast_enhance(sad.copy(order="A"), 6), cfg), sad),
             (("seqslam", "cosine"), seqslam_match(contrast_enhance(cosine, 6), cfg), cosine),
             (("pairwise",), pairwise_match(cosine), cosine),
             (("pairwise", "sad"), pairwise_match(sad), sad),
@@ -399,17 +400,12 @@ class TestDeltaDescriptors:
 
 
 class TestInputsAndMemory:
-    @pytest.mark.parametrize("stage, overwrite_input", [
-        ("contrast_enhance", False), ("seqslam_match", False), ("pairwise_match", False),
-        ("contrast_enhance", True), ("seqslam_match", True)],
-        ids=["contrast_enhance", "seqslam_match", "pairwise_match",
-             "contrast_enhance-overwrite", "seqslam_match-overwrite"])
+    @pytest.mark.parametrize("stage", ["contrast_enhance", "seqslam_match", "pairwise_match"])
     @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_read_only_input_left_unchanged(self, stage, overwrite_input, layout):
+    def test_read_only_input_left_unchanged(self, stage, layout):
         run = {
-            "contrast_enhance": lambda m: contrast_enhance(m, 4, overwrite_input),
-            "seqslam_match": lambda m: seqslam_match(m, SeqSlamConfig(ds=3, r_window=4),
-                                                     overwrite_input),
+            "contrast_enhance": lambda m: contrast_enhance(m, 4),
+            "seqslam_match": lambda m: seqslam_match(m, SeqSlamConfig(ds=3, r_window=4)),
             "pairwise_match": pairwise_match,
         }[stage]
         rng = seeded_rng(18)
@@ -420,42 +416,57 @@ class TestInputsAndMemory:
         assert matrix.tobytes(order="A") == before
 
     @pytest.mark.parametrize("ds", [1, 2, 10])
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_overwrite_input_gives_the_same_matches(self, monkeypatch, ds, layout):
-        # blocks of 3 queries, so the in-place line search writes many
-        # descending blocks, the last one partial; only an F (N, Q) input
-        # (a C (Q, N) buffer, as SAD returns) is worked on in place
+    @pytest.mark.parametrize("layout, writeable", [("F", True), ("C", True), ("F", False)],
+                             ids=["F", "C", "F-read-only"])
+    def test_query_major_input_worked_in_place(self, monkeypatch, ds, layout,
+                                               writeable):
+        # blocks of 3 queries, so the line search writes many descending
+        # blocks, the last one partial; only a writeable F (N, Q) input (a C
+        # (Q, N) buffer, as SAD returns) is worked on in place, and any other
+        # is copied. The references are read-only, so making them overwrites
+        # nothing
         monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * 40 * 3)
+        reused = layout == "F" and writeable
         rng = seeded_rng(25)
         cfg = SeqSlamConfig(ds=ds, r_window=6)
-        matrix = np.array(rng.uniform(0, 3, (40, 38)), order=layout)
+        matrix = rng.uniform(0, 3, (40, 38))
+        matrix.flags.writeable = False
         enhanced = contrast_enhance(matrix, cfg.r_window)
+        enhanced.flags.writeable = False
         want = seqslam_match(enhanced, cfg)
-        given = np.array(matrix, order=layout)
-        got = contrast_enhance(given, cfg.r_window, overwrite_input=True)
+
+        def given(m):
+            m = np.array(m, order=layout)
+            m.flags.writeable = writeable
+            return m
+
+        m = given(matrix)
+        got = contrast_enhance(m, cfg.r_window)
         assert np.array_equal(got, enhanced)
-        assert np.shares_memory(got, given) == (layout == "F")
-        given = np.array(enhanced, order=layout)
-        rows = seqslam_rows(given, cfg, overwrite_input=True)
-        assert np.shares_memory(rows[1].distances, given) == (layout == "F")
+        assert np.shares_memory(got, m) == reused
+        assert reused or np.array_equal(m, matrix)
+        m = given(enhanced)
+        rows = seqslam_rows(m, cfg)
+        assert np.shares_memory(rows[1].distances, m) == reused
+        assert reused or np.array_equal(m, enhanced)
         assert np.array_equal(score_matrix(rows), score_matrix(seqslam_rows(enhanced, cfg)))
-        for got in (seqslam_match(np.array(enhanced, order=layout), cfg, overwrite_input=True),
-                    seqslam_match(contrast_enhance(np.array(matrix, order=layout), cfg.r_window,
-                                                   overwrite_input=True),
-                                  cfg, overwrite_input=True)):
+        for got in (seqslam_match(given(enhanced), cfg),
+                    seqslam_match(contrast_enhance(given(matrix), cfg.r_window), cfg)):
             assert np.array_equal(got.predicted, want.predicted)
             assert np.array_equal(got.confidence, want.confidence)
 
     def test_allocations_bounded_by_outputs(self):
-        # the enhanced matrix and the line-search scores for seqslam, only
-        # block-sized work buffers for pairwise: no N x Q copy
+        # for seqslam, one copy of the C matrix, which enhancement and the
+        # line search both work in, and block buffers; for pairwise, only
+        # block-sized work buffers: no N x Q copy
         rng = seeded_rng(19)
         matrix = rng.uniform(0, 4, (2000, 500))
-        for run, n_arrays in (
-            (lambda: seqslam_match(contrast_enhance(matrix, 10), SeqSlamConfig()), 2),
+        for run, bound in (
+            (lambda: seqslam_match(contrast_enhance(matrix, 10), SeqSlamConfig()),
+             matrix.nbytes + 8 * classic.BLOCK_BYTES),
             (lambda: pairwise_match(matrix), 0),
         ):
-            assert traced_peak(run) <= n_arrays * matrix.nbytes + (1 << 20)
+            assert traced_peak(run) <= bound + (1 << 20)
 
     def test_seqslam_pipeline_holds_one_matrix(self):
         # SAD's N x Q matrix, its float64 query copy and block buffers (SAD's
@@ -467,6 +478,18 @@ class TestInputsAndMemory:
         query = DescriptorSequence(data=rng.standard_normal((300, 64)).astype(np.float32))
         peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig()))
         assert peak <= 8 * (2000 * 300 + 300 * 64) + 8 * classic.BLOCK_BYTES + (1 << 20)
+
+    def test_cosine_seqslam_pipeline_holds_two_matrices(self):
+        # cosine's C (N, Q) matrix, the enhanced copy the line search then
+        # works in, the float64 descriptor copies and block buffers: no third
+        # N x Q matrix (8 MB here)
+        rng = seeded_rng(27)
+        ref = DescriptorSequence(data=rng.standard_normal((2000, 64)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((500, 64)).astype(np.float32))
+        peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig(),
+                                                 metric="cosine"))
+        assert peak <= 8 * (2 * 2000 * 500 + 2000 * 64 + 500 * 64) + 8 * classic.BLOCK_BYTES \
+            + (1 << 20)
 
     def test_sad_allocations_bounded_by_query_copy_and_output(self):
         # the output, the float64 query copy and two block buffers: no

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -276,23 +277,40 @@ class TestAucVsTolerance:
 
 class TestBenchLatency:
     def test_noop_matcher_overhead_below_10us(self):
-        report = bench_latency(lambda ds: None, None, 3, n_queries=1000, name="noop")
+        [report] = bench_latency([("noop", 1000, 1000, lambda: None)], 3)
         assert report.mean_us_per_query < 10.0
 
     def test_failure_carries_repetition_index(self):
         calls = {"n": 0}
 
-        def flaky(ds):
+        def flaky():
             calls["n"] += 1
             if calls["n"] >= 3:
                 raise RuntimeError("boom")
 
-        with pytest.raises(ValidationError, match="repetition 1"):
-            bench_latency(flaky, None, 3, n_queries=10, name="flaky")
+        with pytest.raises(ValidationError, match="flaky failed at repetition 1"):
+            bench_latency([("flaky", 10, 10, flaky)], 3)
+        with pytest.raises(ValidationError, match="flaky failed during warm-up"):
+            bench_latency([("noop", 10, 10, lambda: None), ("flaky", 10, 10, flaky)], 3)
 
     def test_too_few_repetitions(self):
         with pytest.raises(ValidationError):
-            bench_latency(lambda ds: None, None, 2, n_queries=1)
+            bench_latency([("noop", 1, 1, lambda: None)], 2)
+
+    def test_non_positive_queries_rejected(self):
+        with pytest.raises(ValidationError, match="n_queries"):
+            bench_latency([("noop", 1, 1, lambda: None), ("empty", 1, 0, lambda: None)], 3)
+
+    def test_warm_up_then_cases_in_turn(self):
+        # one untimed warm-up per case, then every repetition runs each case
+        # once, in the order given
+        calls = []
+        cases = [(name, n_frames, 5, functools.partial(calls.append, name))
+                 for name, n_frames in (("a", 10), ("b", 20), ("c", 30))]
+        reports = bench_latency(cases, 4)
+        assert calls == ["a", "b", "c"] * 5
+        assert [(r.matcher, r.n_frames, r.n_queries, r.repetitions) for r in reports] == [
+            ("a", 10, 5, 4), ("b", 20, 5, 4), ("c", 30, 5, 4)]
 
     def test_summaries_derive_from_rep_seconds(self):
         report = LatencyReport(matcher="x", n_frames=10, n_queries=10,
