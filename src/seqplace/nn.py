@@ -8,8 +8,12 @@ against central finite differences in float64.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import platform
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,14 +24,17 @@ from .core import NumericsError, ValidationError
 # overflowing on extreme inputs. In float32, sigmoid is exactly 1 and tanh
 # exactly +-1 well before +-60, while sigmoid(-60) is about 8.7e-27: a
 # saturated gate is small but normal. Products that carry one or more such
-# gates (h = o * tanh(c), and in the backward pass chain-rule terms like
-# dh * o or di * i * (1 - i)) reach 1e-27...1e-45, the float32 subnormal
-# range below 1.2e-38 that every GEMM and elementwise op handles on a slow
-# path. The clip does not prevent that; flush_tiny, applied to h and to the
-# pre-activation gradient dz where they are made, is what keeps the
-# recurrence off the subnormal range. The cell state c = f * c_prev + i * g
-# is left as it is: with i >= 8.7e-27 it goes subnormal only if |g| < 1e-12
-# or the two terms cancel, and training at pose weight 500 shows neither.
+# gates (h = o * tanh(c), f * c_prev in the forward pass, and in the backward
+# pass dc * i, dc * f, do * o and the dz factors) reach 1e-27...1e-45, the
+# float32 subnormal range below 1.2e-38 that every GEMM and elementwise op
+# handles on a slow path. The clip does not prevent that; two things do.
+# flush_tiny, applied to h and to the pre-activation gradient dz where they
+# are made, zeroes the values the next step's GEMMs would multiply; and
+# spl.train runs its epochs under denormals_flushed, which flushes the
+# subnormal intermediate products in hardware. That mode exists on x86-64
+# Linux only and is a no-op elsewhere. Inference stays outside it: with the
+# mode on it gave the same bytes, and a gain that no benchmark pair has
+# confirmed yet.
 GATE_CLIP = 60.0
 
 
@@ -48,6 +55,54 @@ def flush_tiny(x):
 @functools.lru_cache(maxsize=None)
 def _flush_threshold(dtype) -> float:
     return math.sqrt(float(np.finfo(dtype).tiny))
+
+
+# MXCSR's flush-to-zero (bit 15) and denormals-are-zero (bit 6) bits, and
+# where glibc's 32-byte x86-64 fenv_t keeps MXCSR
+_FTZ_DAZ = 0x8040
+_FENV_BYTES, _MXCSR_OFFSET = 32, 28
+
+
+@functools.lru_cache(maxsize=None)
+def _fenv_calls():
+    """libm's (fegetenv, fesetenv) on x86-64 Linux, else None. libm is
+    opened by soname: ctypes.util.find_library would start ldconfig."""
+    if sys.platform != "linux" or platform.machine() != "x86_64":
+        return None
+    try:
+        libm = ctypes.CDLL("libm.so.6")
+    except OSError:
+        return None
+    calls = libm.fegetenv, libm.fesetenv
+    for call in calls:
+        call.argtypes = [ctypes.c_void_p]
+        call.restype = ctypes.c_int
+    return calls
+
+
+@contextlib.contextmanager
+def denormals_flushed():
+    """Run the body with the calling thread's float arithmetic flushing
+    subnormal results to zero (FTZ) and reading subnormal inputs as zero
+    (DAZ), then restore the thread's floating-point environment, also when
+    the body raises. A no-op off x86-64 Linux or if libm's fenv calls fail.
+
+    Only values below the smallest normal number change, in float32 and
+    float64 alike. Comparisons inside the body read subnormals as zero, so
+    classify values there by their bit pattern.
+    """
+    calls = _fenv_calls()
+    saved = ctypes.create_string_buffer(_FENV_BYTES)
+    if calls is None or calls[0](saved) != 0:
+        yield
+        return
+    flushed = ctypes.create_string_buffer(saved.raw, _FENV_BYTES)
+    ctypes.c_uint32.from_buffer(flushed, _MXCSR_OFFSET).value |= _FTZ_DAZ
+    try:
+        calls[1](flushed)
+        yield
+    finally:
+        calls[1](saved)
 
 
 def sigmoid(z):

@@ -262,32 +262,34 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
     rng = seeded_rng(config.seed)
     batch_size = count if config.batch_size == "all" else min(config.batch_size, count)
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(count) if config.shuffle else np.arange(count)
-        loss_sum = 0.0
-        hits = 0
-        for start in range(0, count, batch_size):
-            idx = order[start:start + batch_size]
-            frames, rows = _window_frames(idx, tw)
-            inputs = _inputs(work, descriptors.data[frames], std_data[frames])
-            logits, ctx = _forward(work, inputs, rows, keep_cache=True)
-            losses, dlogits = nn.softmax_cross_entropy_batch(
-                logits.astype(np.float64), idx)
-            batch_loss = float(losses.mean())
-            if not np.isfinite(batch_loss):
-                raise NumericsError(
-                    f"non-finite loss at epoch {epoch}, batch starting at sample {start}"
-                )
-            grads = _backward(work, ctx, (dlogits / len(idx)).astype(work.dtype))
-            nn.adam_step(params, grads, adam, sched.current_lr)
-            loss_sum += float(losses.sum())
-            hits += int((logits.argmax(axis=1) == idx).sum())
-        epoch_loss = loss_sum / count
-        history.loss.append(epoch_loss)
-        history.accuracy.append(hits / count)
-        history.lr.append(sched.current_lr)
-        sched = nn.plateau_step(sched, epoch_loss, config.scheduler_factor,
-                                config.scheduler_patience, config.min_lr)
+    # the epochs, and only they, run with subnormals flushed (see nn)
+    with nn.denormals_flushed():
+        for epoch in range(config.epochs):
+            order = rng.permutation(count) if config.shuffle else np.arange(count)
+            loss_sum = 0.0
+            hits = 0
+            for start in range(0, count, batch_size):
+                idx = order[start:start + batch_size]
+                frames, rows = _window_frames(idx, tw)
+                inputs = _inputs(work, descriptors.data[frames], std_data[frames])
+                logits, ctx = _forward(work, inputs, rows, keep_cache=True)
+                losses, dlogits = nn.softmax_cross_entropy_batch(
+                    logits.astype(np.float64), idx)
+                batch_loss = float(losses.mean())
+                if not np.isfinite(batch_loss):
+                    raise NumericsError(
+                        f"non-finite loss at epoch {epoch}, batch starting at sample {start}"
+                    )
+                grads = _backward(work, ctx, (dlogits / len(idx)).astype(work.dtype))
+                nn.adam_step(params, grads, adam, sched.current_lr)
+                loss_sum += float(losses.sum())
+                hits += int((logits.argmax(axis=1) == idx).sum())
+            epoch_loss = loss_sum / count
+            history.loss.append(epoch_loss)
+            history.accuracy.append(hits / count)
+            history.lr.append(sched.current_lr)
+            sched = nn.plateau_step(sched, epoch_loss, config.scheduler_factor,
+                                    config.scheduler_patience, config.min_lr)
     return work, history
 
 

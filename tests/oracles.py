@@ -5,6 +5,8 @@ loops and stays independent of the library's vectorized code paths.
 """
 
 import math
+import platform
+import sys
 import tracemalloc
 
 import numpy as np
@@ -326,3 +328,25 @@ def traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# --- float32 subnormals -----------------------------------------------------------
+
+# where nn.denormals_flushed sets the CPU's flush-to-zero and denormals-are-zero modes
+FLUSH_MODE_AVAILABLE = sys.platform == "linux" and platform.machine() == "x86_64"
+
+
+def subnormal_mask(values):
+    """True where a float32 value is subnormal: exponent bits zero, mantissa
+    bits not. Reads the bits, so it holds also where the CPU reads subnormal
+    operands as zero and a comparison like 0 < |x| < tiny would miss them."""
+    values = np.asarray(values)
+    if values.dtype != np.float32:
+        raise TypeError(f"expected float32, got {values.dtype}")
+    bits = values.view(np.uint32)
+    return ((bits & 0x7F800000) == 0) & ((bits & 0x007FFFFF) != 0)
+
+
+def subnormal_probe():
+    """float32 1e-30 * 1e-10: the subnormal 1e-40, or 0 with flush-to-zero on."""
+    return np.float32(1e-30) * np.float32(1e-10)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    FLUSH_MODE_AVAILABLE,
     adam_scalar_steps,
     grad_check,
     linear,
     scalar_lstm_grads_1d,
     scalar_lstm_step,
     softmax_cross_entropy,
+    subnormal_mask,
+    subnormal_probe,
 )
 from seqplace import nn
 from seqplace.core import ModelConfig, NumericsError, ValidationError, seeded_rng
@@ -118,6 +121,39 @@ class TestFlushTiny:
         nn.flush_tiny(x)
         products = np.abs(np.multiply.outer(x, x[::-1]))
         assert not ((products > 0) & (products < np.finfo(np.float32).tiny)).any()
+
+
+class TestDenormalsFlushed:
+    # the probe's subnormal product is 0 inside the mode, and a subnormal
+    # operand reads as 0 there; on exit the calling thread's mode is restored
+    def assert_flushing(self, subnormal):
+        if FLUSH_MODE_AVAILABLE:
+            assert subnormal_probe() == 0
+            assert subnormal * np.float32(1e30) == 0
+
+    def test_normal_exit_restores(self):
+        subnormal = subnormal_probe()
+        assert subnormal_mask(subnormal)
+        with nn.denormals_flushed():
+            self.assert_flushing(subnormal)
+        assert subnormal_mask(subnormal_probe())
+        assert subnormal * np.float32(1e30) > 0
+
+    def test_exception_in_the_body_restores(self):
+        subnormal = subnormal_probe()
+        with pytest.raises(NumericsError, match="in the body"):
+            with nn.denormals_flushed():
+                self.assert_flushing(subnormal)
+                raise NumericsError("in the body")
+        assert subnormal_mask(subnormal_probe())
+
+    def test_nested_exit_restores_the_outer_mode(self):
+        subnormal = subnormal_probe()
+        with nn.denormals_flushed():
+            with nn.denormals_flushed():
+                self.assert_flushing(subnormal)
+            self.assert_flushing(subnormal)
+        assert subnormal_mask(subnormal_probe())
 
 
 class TestLstmBackward:

@@ -4,12 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import grad_check, linear, scalar_lstm_step, spl_window_scores, traced_peak
+from oracles import (
+    FLUSH_MODE_AVAILABLE,
+    grad_check,
+    linear,
+    scalar_lstm_step,
+    spl_window_scores,
+    subnormal_mask,
+    subnormal_probe,
+    traced_peak,
+)
 from seqplace import nn, spl
 from seqplace.core import (
     DescriptorSequence,
     FormatError,
     ModelConfig,
+    NumericsError,
     PoseSequence,
     TrainConfig,
     ValidationError,
@@ -270,16 +280,17 @@ class TestTrain:
 
     def test_saturated_training_stays_off_subnormals(self, monkeypatch):
         # pose weight 500 saturates the gates; products of saturated gates
-        # must be flushed before they reach the float32 subnormal range
+        # must not reach the float32 subnormal range: flush_tiny zeroes h and
+        # dz, and the training mode flushes the intermediate products, which
+        # would otherwise reach the cell-state gradient dc_prev. The mode
+        # reads subnormals as zero, so values are classified by their bits.
         env = synth_traverse(60, 8, seed=3, smoothness=0.6)
         cfg = ModelConfig.for_traversal(60, 4, variant="spl", descriptor_dim=8,
                                         hidden_size=12, pose_weight=500.0)
-        tiny = np.finfo(np.float32).tiny
         seen = {"subnormal": set(), "min_gate": 1.0}
 
         def check(name, values):
-            magnitude = np.abs(values)
-            if ((magnitude > 0) & (magnitude < tiny)).any():
+            if subnormal_mask(values).any():
                 seen["subnormal"].add(name)
 
         step, backward = nn.lstm_step_batch, nn.lstm_step_backward
@@ -296,6 +307,9 @@ class TestTrain:
         def checked_backward(*args):
             dz, dh_prev, dc_prev = backward(*args)
             check("dz", dz)
+            if FLUSH_MODE_AVAILABLE:
+                check("dh_prev", dh_prev)
+                check("dc_prev", dc_prev)
             return dz, dh_prev, dc_prev
 
         monkeypatch.setattr(nn, "lstm_step_batch", checked_step)
@@ -304,6 +318,24 @@ class TestTrain:
               TrainConfig(initial_lr=8e-3, epochs=5, seed=1))
         assert seen["min_gate"] < 1e-20, "gates did not saturate; the check is vacuous"
         assert seen["subnormal"] == set()
+
+    def test_numerics_error_leaves_the_float_mode_as_it_was(self, monkeypatch):
+        env = synth_traverse(30, 8, seed=5)
+        cfg = ModelConfig.for_traversal(30, 4, variant="spl", descriptor_dim=8,
+                                        hidden_size=8)
+        inside = []
+
+        def nan_loss(logits, targets):
+            inside.append(subnormal_probe())
+            return np.full(len(targets), np.nan), np.zeros_like(logits)
+
+        monkeypatch.setattr(nn, "softmax_cross_entropy_batch", nan_loss)
+        with pytest.raises(NumericsError, match="non-finite loss"):
+            train(build_model(cfg, seed=6), env.descriptors, env.poses, 4,
+                  TrainConfig(epochs=3, seed=7))
+        if FLUSH_MODE_AVAILABLE:
+            assert inside == [0]
+        assert subnormal_mask(subnormal_probe())
 
     def test_history_lr_non_increasing(self):
         env = synth_traverse(40, 8, seed=41)
