@@ -8,13 +8,17 @@ version (=1), N, n, then N*n float32 values row-major. Files ending in
 Every text file (poses, ground truth, scores, and the curves and training
 history other modules write) is a CSV table, written by `write_table` and
 read by `read_table`: a header line, then one comma-separated row per line,
-floats written with repr so they read back bit-exact.
+floats written with repr so they read back bit-exact. `read_table` parses
+a table's rows in one call to numpy's C reader and falls back to Python's
+int() and float() value by value, so what it accepts, the values it reads
+and the line its errors name are those of the Python reader.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,33 +56,77 @@ def read_table(path, header, kinds):
     header is the expected first line (spaces ignored), or None for a table
     without one; kinds gives int or float per column, or, without a header,
     one kind for every column of a width set by the first row. Blank lines
-    are skipped. Returns (columns, lines): an int64 or float64 array per
-    column and the line number of each row. A wrong header, an empty
-    table, a row of the wrong width or a bad value raises FormatError.
+    are skipped. Returns (columns, lines): an owning, contiguous int64 or
+    float64 array per column and the line number of each row. A wrong
+    header, an empty table, a row of the wrong width or a bad value raises
+    FormatError.
+
+    The rows are parsed in one call to numpy's C reader. A table it
+    rejects, or whose text it would read differently, is read again value
+    by value with int() and float(). So the accepted syntax is Python's
+    (`1_0` and non-ASCII digits read too), and an error names the line of
+    the first row of the wrong width, else of the first bad value.
     """
-    text = open_text(path).read().split("\n")
+    text = open_text(path).read()
+    split = text.split("\n")
     first = 0
     if header is not None:
-        got = text[0].strip().replace(" ", "")
+        got = split[0].strip().replace(" ", "")
         if got != header:
             raise FormatError(f"{path}: expected header {header!r}, got {got!r}")
         first = 1
-    numbered = [(lineno, line.split(","))
-                for lineno, line in enumerate(map(str.strip, text[first:]), first + 1) if line]
+    numbered = [(lineno, line)
+                for lineno, line in enumerate(map(str.strip, split[first:]), first + 1) if line]
     if not numbered:
         raise FormatError(f"{path}: no rows found")
     lines, rows = zip(*numbered)
     if header is None:
-        kinds = (kinds,) * len(rows[0])
-    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        kinds = (kinds,) * (rows[0].count(",") + 1)
+    if _numpy_reads_as_python(text):
+        try:
+            return _parse_table(rows, kinds), lines
+        except (ValueError, Warning):
+            pass
+    return _parse_rows(path, rows, kinds, lines), lines
+
+
+def _numpy_reads_as_python(text) -> bool:
+    """Whether numpy's C parsers reject every value of text that int() and
+    float() reject. On non-ASCII text they do not (numpy's int parser reads
+    "1" followed by U+01FE as 472), nor around the ASCII separators
+    \\x1c-\\x1f, which numpy skips as spaces; on other ASCII they agree."""
+    return text.isascii() and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+
+
+def _dtype(kind) -> type:
+    return np.int64 if kind is int else np.float64
+
+
+def _parse_table(rows, kinds) -> list:
+    """Every row in one np.loadtxt call. Warnings are raised, so a value
+    numpy accepts only with one is rejected: older numpy releases read
+    "2.5" in an int column as 2, with a DeprecationWarning."""
+    dtype = np.dtype([(f"c{i}", _dtype(kind)) for i, kind in enumerate(kinds)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # comments=None: the default "#" would read "0.5#x" as 0.5
+        table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    return [table[name].copy() for name in dtype.names]
+
+
+def _parse_rows(path, rows, kinds, lines) -> list:
+    """Split, check widths and convert value by value, naming the line of
+    the first bad row or value."""
+    fields = [row.split(",") for row in rows]
+    widths = np.fromiter(map(len, fields), np.intp, len(fields))
     _check_rows(path, lines, widths == len(kinds),
                 f"expected {len(kinds)} comma-separated values")
-    columns = [_column(path, kind, values, lines) for kind, values in zip(kinds, zip(*rows))]
-    return columns, lines
+    return [_column(path, kind, values, lines) for kind, values in zip(kinds, zip(*fields))]
 
 
 def _column(path, kind, values, lines) -> np.ndarray:
-    dtype = np.int64 if kind is int else np.float64
+    dtype = _dtype(kind)
     try:
         return np.array(list(map(kind, values)), dtype=dtype)
     except (ValueError, OverflowError):

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from seqplace.core import Rescaled, ValidationError
+from seqplace.core import FormatError, Rescaled, ValidationError, open_text
 
 
 # --- scalar LSTM reference ------------------------------------------------------
@@ -265,6 +265,49 @@ def pr_sweep_brute(confidence, correct):
         if precision == 1.0 and recall > best:
             best = recall
     return points, area, best
+
+
+# --- CSV table oracle -------------------------------------------------------------
+
+def read_table_rows(path, header, kinds):
+    """ingest.read_table as the row-by-row reader it was before it called
+    np.loadtxt: split every row, check widths, convert each column with
+    int() or float(), and name the line of the first bad row or value."""
+    text = open_text(path).read().split("\n")
+    first = 0
+    if header is not None:
+        got = text[0].strip().replace(" ", "")
+        if got != header:
+            raise FormatError(f"{path}: expected header {header!r}, got {got!r}")
+        first = 1
+    numbered = [(lineno, line.split(","))
+                for lineno, line in enumerate(map(str.strip, text[first:]), first + 1) if line]
+    if not numbered:
+        raise FormatError(f"{path}: no rows found")
+    lines, rows = zip(*numbered)
+    if header is None:
+        kinds = (kinds,) * len(rows[0])
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    ok = widths == len(kinds)
+    if not ok.all():
+        raise FormatError(f"{path}:{lines[int(np.argmin(ok))]}: "
+                          f"expected {len(kinds)} comma-separated values")
+    columns = [_table_column(path, kind, values, lines) for kind, values in zip(kinds, zip(*rows))]
+    return columns, lines
+
+
+def _table_column(path, kind, values, lines) -> np.ndarray:
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.array(list(map(kind, values)), dtype=dtype)
+    except (ValueError, OverflowError):
+        for value, lineno in zip(values, lines):  # name the first bad value
+            try:
+                np.array(kind(value), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(
+                    f"{path}:{lineno}: bad {np.dtype(dtype).name} value {value!r}") from exc
+        raise
 
 
 # --- gradient oracle --------------------------------------------------------------

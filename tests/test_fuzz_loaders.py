@@ -9,6 +9,7 @@ number-like tokens), so the fuzzing reaches the later parsing stages.
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seqplace.core import DescriptorSequence, FormatError, ModelConfig, PoseSequence
-from seqplace.ingest import load_descriptors, load_ground_truth, load_poses, load_scores
+from oracles import read_table_rows
+from seqplace.ingest import (load_descriptors, load_ground_truth, load_poses, load_scores,
+                             read_table)
 from seqplace.spl import (CKPT_MAGIC, CKPT_VERSION, SplModel, build_model, load_checkpoint,
                           save_checkpoint)
 
@@ -27,7 +30,7 @@ U32 = st.integers(0, 2**32 - 1)
 DIM = st.one_of(st.integers(0, 4), U32)
 TOKENS = st.sampled_from([
     "", " 2 ", "-0.0", "1e39", "-1e400", "nan", "inf", "99999999999999999999", "0x10",
-    "1_0", "a", "\u0663", "\x00", "query", "frame",
+    "1_0", "a", "\u0663", "\x00", "query", "frame", "1\u01fe", "1\x1c",
 ])
 FIELD = st.one_of(st.integers(-2**66, 2**66).map(str), st.floats().map(repr), TOKENS)
 NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
@@ -120,6 +123,50 @@ def test_scores_csv(tmp_path, blob):
         predicted, confidence = loaded
         assert predicted.dtype == np.int64 and predicted.shape == confidence.shape
         assert (predicted >= 0).all() and np.isfinite(confidence).all()
+
+
+HEADED_TABLES = [("query,predicted,confidence", (int, int, float)), ("query,ref", (int, int)),
+                 ("frame,x,y", (int, float, float))]
+TABLES = st.one_of(
+    st.sampled_from(HEADED_TABLES).flatmap(
+        lambda table: text_inputs(table[0], len(table[1])).map(lambda blob: (*table, blob))),
+    st.tuples(st.integers(1, 3), st.sampled_from([int, float])).flatmap(
+        lambda width_kind: text_inputs(None, width_kind[0]).map(
+            lambda blob: (None, width_kind[1], blob))),
+)
+
+
+def read_with(reader, path, header, kinds):
+    """(dtype and bytes per column, line numbers), or the FormatError text."""
+    try:
+        columns, lines = reader(path, header, kinds)
+    except FormatError as exc:
+        return str(exc)
+    return [(column.dtype, column.tobytes()) for column in columns], tuple(lines)
+
+
+@FUZZ
+@given(table=TABLES)
+# text numpy's C reader would read unlike int() and float(): non-ASCII, the
+# separators \x1c-\x1f, a "#" taken as a comment, an int read through float
+@example(table=("query,ref", (int, int), b"query,ref\n0,1\xc7\xbe"))
+@example(table=("query,ref", (int, int), b"query,ref\n0,1\x1c"))
+@example(table=(None, float, b"0.5\x1f,1"))
+@example(table=(None, float, b"0.5#x"))
+@example(table=("query,ref", (int, int), b"query,ref\n0,2.5\n1,1e3"))
+# Python-only syntax numpy rejects
+@example(table=("frame,x,y", (int, float, float), "frame,x,y\n1_0,\u0663,2\n".encode()))
+def test_read_table_matches_row_reader(tmp_path, table):
+    header, kinds, blob = table
+    path = tmp_path / "t.csv"
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_with(read_table, path, header, kinds)
+    assert got == read_with(read_table_rows, path, header, kinds)
+    if not isinstance(got, str):
+        for column in read_table(path, header, kinds)[0]:
+            assert column.flags.c_contiguous and column.flags.owndata
 
 
 def checkpoint_bytes(variant: str) -> bytes:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,42 @@ class TestTables:
         path.write_text("a,b\n" + body)
         with pytest.raises(FormatError, match=message):
             read_table(path, "a,b", (int, float))
+
+    def test_python_number_syntax_accepted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1_0,\u0663\n", encoding="utf-8")
+        (a, b), lines = read_table(path, "a,b", (int, float))
+        assert a.tolist() == [10] and b.tolist() == [3.0] and list(lines) == [2]
+
+    def test_padded_fields_read_as_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n 1 ,\t2.5\t\n3\t, 4\n")
+        (a, b), _ = read_table(path, "a,b", (int, float))
+        assert a.tolist() == [1, 3] and b.tolist() == [2.5, 4.0]
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,0.5\n2,0.5#x\n", r"t.csv:3: bad float64 value '0.5#x'"),  # not a comment
+        ("1,2\n2.5,3\n", r"t.csv:3: bad int64 value '2.5'"),
+        # values numpy's parsers read but int() does not
+        ("1,2\n1\u01fe,3\n", r"t.csv:3: bad int64 value '1\u01fe'"),
+        ("1,2\n1\x1c,3\n", r"t.csv:3: bad int64 value '1\\x1c'"),
+        ("\n \n\t\n", r"no rows"),
+    ])
+    def test_errors_name_the_line_and_warn_nothing(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + body, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=message):
+                read_table(path, "a,b", (int, float))
+
+    def test_headerless_extremes_round_trip_bit_exact(self, tmp_path):
+        floats = [5e-324, -0.0, 1.7976931348623157e308]
+        path = tmp_path / "t.csv"
+        write_table(path, None, [[value] for value in floats])
+        (column,), lines = read_table(path, None, float)
+        assert column.dtype == np.float64 and column.tobytes() == np.array(floats).tobytes()
+        assert list(lines) == [1, 2, 3]
 
 
 class TestDescriptorFiles:
