@@ -8,14 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DescriptorSequence, MatchScores, Rescaled, ValidationError
+from .core import BLOCK_BYTES, DescriptorSequence, MatchScores, Rescaled, ValidationError
 
 METRICS = ("sad", "cosine")
 DEFAULT_METRIC = {"seqslam": "sad", "pairwise": "cosine", "delta": "cosine"}
 ENHANCE_EPS = 1e-9
-# working-set budget of one query block in the SAD and line-search loops,
-# sized to stay in a core's L2 cache
-BLOCK_BYTES = 256 * 1024
 # each velocity costs the line search ds passes over the whole matrix, so a
 # grid this long (the default has 5) is a mistyped range, not a search
 MAX_VELOCITIES = 1000
@@ -233,7 +230,7 @@ def seqslam_rows(enhanced, cfg: SeqSlamConfig):
             np.minimum(best, work[:j1 - j0], out=best)
         # division by ds > 0 is monotone, so it commutes with the minimum
         np.divide(best, ds, out=et[j0:j1])
-    return [np.zeros((ds - 1, n_ref)), Rescaled(et[ds - 1:], BLOCK_BYTES)]
+    return [np.zeros((ds - 1, n_ref)), Rescaled(et[ds - 1:])]
 
 
 def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
@@ -245,7 +242,7 @@ def seqslam_match(enhanced, cfg: SeqSlamConfig) -> MatchScores:
 def pairwise_rows(matrix):
     """Single-frame score rows as one Rescaled record: row j is one minus
     the min-max normalized distances of query j (column j of matrix)."""
-    return [Rescaled(np.asarray(matrix, dtype=np.float64).T, BLOCK_BYTES)]
+    return [Rescaled(np.asarray(matrix, dtype=np.float64).T)]
 
 
 def pairwise_match(matrix) -> MatchScores:

@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 VARIANTS = ("baseline", "spl")
+BLOCK_BYTES = 256 * 1024  # a block of the classical matchers' work stays in a core's L2
 CURVE_BLOCK_BYTES = 64 * 1024  # PR-sweep temporaries stay under malloc's 128 KiB mmap threshold
 
 
@@ -165,6 +166,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        if not np.isfinite(self.initial_lr):
+            raise ValidationError(f"initial_lr must be finite, got {self.initial_lr}")
         if not (0.0 < self.min_lr <= self.initial_lr):
             raise ValidationError(
                 f"need 0 < min_lr <= initial_lr, got min_lr={self.min_lr}, "
@@ -197,18 +200,9 @@ class Rescaled(NamedTuple):
     """Score rows given as distances, one row per query: the scores are
     (hi - d) / (hi - lo), or all ones when hi == lo, where lo and hi are the
     least and the greatest distance. MatchScores reduces them without forming
-    them, reading block_bytes of distances at a time in their memory order."""
+    them, reading BLOCK_BYTES of distances at a time in their memory order."""
 
     distances: np.ndarray
-    block_bytes: int
-
-    def scores(self):
-        """The score rows when hi != lo, a block of queries at a time."""
-        d = self.distances
-        lo, hi = d.min(), d.max()
-        rows = max(1, self.block_bytes // (8 * d.shape[1]))
-        for j in range(0, d.shape[0], rows):
-            yield _rescale(d[j:j + rows], lo, hi)
 
     def top1(self):
         """Each row's lowest-index argmax and the score there, or None when
@@ -231,7 +225,7 @@ class Rescaled(NamedTuple):
         predicted = np.full(d.shape[0], d.shape[1])
         place_major = d.strides[1] > d.strides[0]  # the transpose of a C (place, query) array
         m = d.T if place_major else d
-        step = max(1, self.block_bytes // (8 * m.shape[1]))
+        step = max(1, BLOCK_BYTES // (8 * m.shape[1]))
         mask = np.empty((min(step, m.shape[0]), m.shape[1]), bool)
         for k in range(0, m.shape[0], step):
             piece, below = m[k:k + step], mask[:min(step, m.shape[0] - k)]
@@ -251,7 +245,8 @@ class MatchScores:
     a Rescaled record) as they arrive, so no score matrix need exist:
     predicted is each row's lowest-index argmax, confidence the score there
     as float64. A non-finite score is a numerical fault of the producer:
-    NumericsError.
+    NumericsError, naming the cell (for a Rescaled record, the first
+    non-finite distance, or the least one when their span overflows).
     """
 
     blocks: InitVar[Iterable]                   # score rows, block by block
@@ -263,24 +258,27 @@ class MatchScores:
         predicted, confidence, start = [], [], 0
         for block in blocks:
             rescaled = isinstance(block, Rescaled)
-            shape = np.shape(block.distances if rescaled else block)
-            if len(shape) != 2 or shape[1] != self.n_places or self.n_places < 1:
+            rows = np.asarray(block.distances if rescaled else block)
+            if rows.ndim != 2 or rows.shape[1] != self.n_places or self.n_places < 1:
                 raise ValidationError(f"score rows must be 2-d with {self.n_places} "
-                                      f"columns, got shape {shape}")
-            top = block.top1() if rescaled else None
-            if top is not None:
-                predicted.append(top[0])
-                confidence.append(top[1])
-                start += shape[0]
-                continue
-            for rows in block.scores() if rescaled else [np.asarray(block)]:
+                                      f"columns, got shape {rows.shape}")
+            if rescaled:
+                top = block.top1()
+                if top is None:  # hi - lo is not finite: a bad distance, or an overflowing span
+                    loc = _first_bad(rows)
+                    what = "non-finite distance" if loc else "distance span overflows"
+                    q, p = loc or np.unravel_index(rows.argmin(), rows.shape)
+                    raise NumericsError(f"{what} at query {start + q}, place {p}")
+            else:
                 loc = _first_bad(rows) if rows.size else None
                 if loc is not None:
                     raise NumericsError(
                         f"non-finite score at query {start + loc[0]}, place {loc[1]}")
-                predicted.append(rows.argmax(axis=1))
-                confidence.append(rows[np.arange(rows.shape[0]), predicted[-1]])
-                start += rows.shape[0]
+                best = rows.argmax(axis=1)
+                top = best, rows[np.arange(rows.shape[0]), best]
+            predicted.append(top[0])
+            confidence.append(top[1])
+            start += rows.shape[0]
         if start < 1:
             raise ValidationError("scores need at least one query row")
         for name, arr in (("predicted", np.concatenate(predicted)),
@@ -395,7 +393,8 @@ def write_config_file(path, values: Mapping[str, object]) -> None:
 
 
 def read_config_file(path) -> dict:
-    """Parse `key = value` lines; `#` starts a comment, blank lines ignored."""
+    """Parse `key = value` lines; `#` starts a comment, blank lines ignored,
+    and a key given twice is a FormatError."""
     raw = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -404,8 +403,10 @@ def read_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in raw:
+                raise FormatError(f"{path}:{lineno}: repeated key {key!r}")
+            raw[key] = value
     return raw
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CURVE_BLOCK_BYTES, PrCurve, ValidationError, atomic_open
+from .core import CURVE_BLOCK_BYTES, NumericsError, PrCurve, ValidationError, atomic_open
 from .ingest import write_table
 
 TOLERANCE_KINDS = ("frames", "meters")
@@ -153,7 +153,9 @@ def bench_latency(cases, repetitions: int) -> list:
                 run()
             except Exception as exc:
                 when = f"at repetition {rep}" if rep >= 0 else "during warm-up"
-                raise ValidationError(f"{name} failed {when}: {exc}") from exc
+                # a numerical fault keeps its class, so the command exits 2 on it
+                kind = NumericsError if isinstance(exc, NumericsError) else ValidationError
+                raise kind(f"{name} failed {when}: {exc}") from exc
             kept.append(time.perf_counter() - start)
     return [LatencyReport(matcher=name, n_frames=n_frames, n_queries=n_queries,
                           rep_seconds=tuple(kept[1:]))

@@ -338,10 +338,11 @@ def perturb_query(env: SyntheticEnv, noise_sigma: float, speed_warp, seed: int,
     reference frame for query frame q. With noise_sigma=0 and an identity
     warp the query is bit-identical to the reference.
     """
-    if noise_sigma < 0:
-        raise ValidationError("noise_sigma must be non-negative")
     if pose_noise_sigma is None:
         pose_noise_sigma = 0.1 * noise_sigma
+    for name, sigma in (("noise_sigma", noise_sigma), ("pose_noise_sigma", pose_noise_sigma)):
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ValidationError(f"{name} must be finite and non-negative, got {sigma}")
     ref_desc = env.descriptors.data.astype(np.float64)
     ref_pose = env.poses.data
     n_ref = ref_desc.shape[0]

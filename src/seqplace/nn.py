@@ -132,14 +132,6 @@ class LstmParams:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValidationError(f"non-finite entries in {name}")
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_x.shape[0] // 4
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_x.shape[1]
-
     @classmethod
     def initialize(cls, input_dim: int, hidden_size: int, rng: np.random.Generator,
                    dtype=np.float32) -> "LstmParams":
@@ -150,9 +142,6 @@ class LstmParams:
         b = np.zeros(4 * hidden_size, dtype=dtype)
         b[hidden_size:2 * hidden_size] = 1.0
         return cls(w_x=w_x, w_h=w_h, b=b)
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(w_x=self.w_x.copy(), w_h=self.w_h.copy(), b=self.b.copy())
 
 
 @dataclass

@@ -100,6 +100,13 @@ def parameter_list(model: SplModel) -> list:
     return params
 
 
+def _from_parameters(config: ModelConfig, params: list, pose_mu, pose_sigma) -> SplModel:
+    """The model whose parameter_list is params, taken as given (no copies)."""
+    second = nn.LstmParams(*params[3:6]) if config.variant == "spl" else None
+    return SplModel(config=config, env_lstm=nn.LstmParams(*params[:3]), spl_lstm=second,
+                    w_out=params[-2], b_out=params[-1], pose_mu=pose_mu, pose_sigma=pose_sigma)
+
+
 class _Inputs(NamedTuple):
     """Per-frame terms of both cells that do not depend on the recurrence."""
 
@@ -239,15 +246,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
     standardized, mu, sigma = standardize_poses(poses)
     std_data = standardized.data
 
-    work = SplModel(
-        config=cfg,
-        env_lstm=model.env_lstm.copy(),
-        spl_lstm=model.spl_lstm.copy() if model.spl_lstm is not None else None,
-        w_out=model.w_out.copy(),
-        b_out=model.b_out.copy(),
-        pose_mu=np.asarray(mu, dtype=np.float64),
-        pose_sigma=np.asarray(sigma, dtype=np.float64),
-    )
+    work = _from_parameters(cfg, [p.copy() for p in parameter_list(model)], mu, sigma)
     history = TrainHistory()
     if config.epochs == 0:
         return work, history
@@ -400,8 +399,4 @@ def load_checkpoint(path) -> SplModel:
         offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} unexpected trailing bytes")
-    env = nn.LstmParams(*tensors[:3])
-    second = nn.LstmParams(*tensors[3:6]) if variant == "spl" else None
-    w_out, b_out = tensors[-2:]
-    return SplModel(config=cfg, env_lstm=env, spl_lstm=second,
-                    w_out=w_out, b_out=b_out, pose_mu=pose_mu, pose_sigma=pose_sigma)
+    return _from_parameters(cfg, tensors, pose_mu, pose_sigma)

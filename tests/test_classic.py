@@ -3,7 +3,7 @@ import pytest
 
 from oracles import (delta_brute, enhance_brute, enhance_whole, sad_brute, sad_rowloop,
                      score_matrix, seqslam_scores_brute, traced_peak)
-from seqplace import classic
+from seqplace import classic, core
 from seqplace.classic import (
     SeqSlamConfig,
     contrast_enhance,
@@ -228,8 +228,9 @@ class TestSeqSlamMatch:
         ]
         rng = seeded_rng(16)
         for ds, n_ref, n_query, v_min, v_max, v_step in cases:
-            if block_queries is not None:
-                monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * n_ref * block_queries)
+            if block_queries is not None:  # the line search's and top-1's budget
+                for module in (classic, core):
+                    monkeypatch.setattr(module, "BLOCK_BYTES", 8 * n_ref * block_queries)
             cfg = SeqSlamConfig(ds=ds, v_min=v_min, v_max=v_max, v_step=v_step, r_window=3)
             enhanced = rng.standard_normal((n_ref, n_query))
             want = seqslam_scores_brute(enhanced, ds, velocity_grid(cfg).tolist())
@@ -319,7 +320,7 @@ class TestPairwiseMatch:
         for d in (np.round(rng.uniform(0, 5, (9, 8)), 1), rng.uniform(0, 5, (40, 17)),
                   np.full((6, 5), 2.5)):
             if block_queries is not None:
-                monkeypatch.setattr(classic, "BLOCK_BYTES", 8 * d.shape[0] * block_queries)
+                monkeypatch.setattr(core, "BLOCK_BYTES", 8 * d.shape[0] * block_queries)
             want = -d.T
             if want.max() == want.min():
                 want = np.ones_like(want)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from seqplace import cli
+from seqplace import classic, cli
 from seqplace.classic import similarity_matrix
 from seqplace.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqplace.ingest import load_descriptors, load_ground_truth, load_poses
@@ -69,6 +69,17 @@ class TestSynth:
     def test_empty_warp_rejected(self, tmp_path, warp):
         out = tmp_path / "out"
         code = run("synth", "--frames", "30", "--dim", "8", "--warp", warp, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", [["--noise", "nan", "--warp", "1.0"],
+                                       ["--noise", "0.1", "--pose-noise", "nan"],
+                                       ["--noise", "0.1", "--pose-noise", "-1"]],
+                             ids=["nan-noise", "nan-pose-noise", "negative-pose-noise"])
+    def test_bad_noise_sigma_rejected(self, tmp_path, noise):
+        # NaN would add no noise and reach the manifest, which is then not JSON
+        out = tmp_path / "out"
+        code = run("synth", "--frames", "30", "--dim", "8", *noise, "--out", str(out))
         assert code == EXIT_USAGE
         assert not out.exists()
 
@@ -158,6 +169,17 @@ class TestTrain:
                    "--config", str(config), "--out", str(out))
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_infinite_lr_rejected_up_front(self, synth_dir, tmp_path, route):
+        config, out = tmp_path / "inf.config", tmp_path / "x.splm"
+        config.write_text("initial_lr = inf\n")
+        given = ["--lr", "inf"] if route == "flag" else ["--config", str(config)]
+        code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
+                   "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
+                   "--epochs", "1", *given, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert sorted(os.listdir(tmp_path)) == ["inf.config"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exploding_lr_exits_numeric(self, synth_dir, tmp_path):
@@ -337,6 +359,23 @@ class TestMatch:
                        "--method", method, "--out", str(out))
             assert code == EXIT_OK
             assert out.read_text().startswith("query,predicted,confidence")
+
+    def test_non_finite_distance_exits_numeric(self, synth_dir, tmp_path, monkeypatch,
+                                               capsys):
+        # a fault in the distances is named where it is: column 5 is query 5
+        def faulty(*args, **kwargs):
+            matrix = similarity_matrix(*args, **kwargs)
+            matrix[3, 5] = np.nan
+            return matrix
+
+        monkeypatch.setattr(classic, "similarity_matrix", faulty)
+        out = tmp_path / "x.csv"
+        code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
+                   "--query", str(synth_dir / "query_descriptors.spld"),
+                   "--method", "pairwise", "--out", str(out))
+        assert code == EXIT_NUMERIC
+        assert "non-finite distance at query 5, place 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dim_mismatch_is_usage_error(self, synth_dir, tmp_path):
         other = tmp_path / "other"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import score_matrix
-from seqplace import classic
+from seqplace import classic, core
 from seqplace.core import (
     CURVE_BLOCK_BYTES,
     DescriptorSequence,
+    FormatError,
     MatchScores,
     ModelConfig,
     NumericsError,
@@ -208,7 +209,7 @@ class TestRescaled:
         # a C place-by-query matrix) place by place; a budget of 8 bytes
         # takes one row or column at a time, None the library's own budget
         if block_bytes is not None:
-            monkeypatch.setattr(classic, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
         rng = seeded_rng(31)
         for d in self.cases(rng):
             [record] = classic.pairwise_rows(np.array(d.T, order=layout))
@@ -222,27 +223,33 @@ class TestRescaled:
     def test_near_ties_pick_the_lower_index(self):
         rng = seeded_rng(32)
         d = near_ties(rng, 50, 30)
-        record = Rescaled(d, classic.BLOCK_BYTES)
+        record = Rescaled(d)
         want = score_matrix([record]).argmax(axis=1)
         # the ties are real: in many rows the smallest distance is not the argmax
         assert (want != d.argmin(axis=1)).sum() > 10
         assert np.array_equal(MatchScores.from_scores([record], 30).predicted, want)
 
-    def test_non_finite_raises_like_the_score_rows(self):
-        rng = seeded_rng(33)
-        for bad in (np.nan, np.inf, -np.inf):
-            for order in "CF":
-                d = np.array(rng.uniform(0, 5, (7, 6)), order=order)
-                d[5, 2] = bad
-                record = Rescaled(d, 64)
-                with np.errstate(invalid="ignore"):
-                    with pytest.raises(NumericsError) as want:
-                        MatchScores.from_scores([np.zeros((2, 6)), score_matrix([record])], 6)
-                    with pytest.raises(NumericsError) as got:
-                        MatchScores.from_scores([np.zeros((2, 6)), record], 6)
-                assert str(got.value) == str(want.value)
-                if bad == -np.inf:  # only lo is infinite: the bad entry is the first bad score
-                    assert "query 7, place 2" in str(got.value)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distance_is_named(self, bad, order):
+        # queries count across blocks; the first bad distance in query order
+        # is named whatever the memory order, and a NaN or +inf hi does not
+        # move the name onto the cells it would turn into NaN scores
+        d = seeded_rng(33).uniform(0, 5, (7, 6))
+        d[5, 2] = d[6, 0] = bad
+        record = Rescaled(np.array(d, order=order))
+        with pytest.raises(NumericsError, match=r"^non-finite distance at query 7, place 2$"):
+            MatchScores.from_scores([np.zeros((2, 6)), record], 6)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overflowing_span_names_the_least_distance(self, order):
+        d = seeded_rng(34).uniform(0, 5, (7, 6))
+        d[3, 4], d[5, 1] = 1.7e308, -1.7e308  # finite, but hi - lo is not
+        record = Rescaled(np.array(d, order=order))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericsError,
+                               match=r"^distance span overflows at query 7, place 1$"):
+                MatchScores.from_scores([np.zeros((2, 6)), record], 6)
 
 
 class TestPrCurve:
@@ -383,6 +390,13 @@ class TestConfigFileRoundTrip:
             path = tmp_path / f"cfg{trial}"
             write_config_file(path, dataclasses.asdict(cfg))
             assert train_config_from_mapping(read_config_file(path)) == cfg
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last value would silently win: two epochs, not two hundred
+        path = tmp_path / "c.cfg"
+        path.write_text("epochs = 200\n# training length\n\nepochs = 2\n")
+        with pytest.raises(FormatError, match=r"c\.cfg:4: repeated key 'epochs'"):
+            read_config_file(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import pr_sweep_brute
-from seqplace.core import CURVE_BLOCK_BYTES, MatchScores, ValidationError, seeded_rng
+from seqplace.core import (CURVE_BLOCK_BYTES, MatchScores, NumericsError, ValidationError,
+                           seeded_rng)
 from seqplace.evaluate import GroundTruth, LatencyReport, bench_latency, pr_curve_from_arrays
 
 
@@ -292,6 +293,20 @@ class TestBenchLatency:
             bench_latency([("flaky", 10, 10, flaky)], 3)
         with pytest.raises(ValidationError, match="flaky failed during warm-up"):
             bench_latency([("noop", 10, 10, lambda: None), ("flaky", 10, 10, flaky)], 3)
+
+    def test_numerical_fault_keeps_its_class(self):
+        # so `seqplace bench` exits 2 on it, as every other command does
+        calls = {"n": 0}
+
+        def diverging():
+            calls["n"] += 1
+            if calls["n"] >= 3:
+                raise NumericsError("non-finite distance at query 3, place 1")
+
+        with pytest.raises(NumericsError, match="^diverging failed at repetition 1: "
+                                                "non-finite distance at query 3") as err:
+            bench_latency([("diverging", 10, 10, diverging)], 3)
+        assert not isinstance(err.value, ValidationError)
 
     def test_too_few_repetitions(self):
         with pytest.raises(ValidationError):

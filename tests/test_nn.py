@@ -34,7 +34,7 @@ def preact(x, h_prev, p):
 
 def run_cell(xs, p, h0=None, c0=None):
     """Step the cell over a (T, B, D) sequence; returns (hs, caches)."""
-    shape = (xs.shape[1], p.hidden_size)
+    shape = (xs.shape[1], p.w_h.shape[1])
     h = np.zeros(shape) if h0 is None else h0
     c = np.zeros(shape) if c0 is None else c0
     hs, caches = [], []

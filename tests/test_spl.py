@@ -71,14 +71,14 @@ def params_equal(a, b):
 class TestBuildModel:
     def test_spl_wiring_dims(self):
         model = build_model(tiny_config(), seed=0)
-        assert model.env_lstm.input_dim == 10      # n + 2
-        assert model.spl_lstm.input_dim == 20      # n + hidden
+        assert model.env_lstm.w_x.shape[1] == 10  # n + 2
+        assert model.spl_lstm.w_x.shape[1] == 20  # n + hidden
         assert model.w_out.shape == (16, 12)
 
     def test_baseline_single_cell(self):
         model = build_model(tiny_config(variant="baseline"), seed=0)
         assert model.spl_lstm is None
-        assert model.env_lstm.input_dim == 10
+        assert model.env_lstm.w_x.shape[1] == 10
 
     def test_seed_determinism(self):
         a = build_model(tiny_config(), seed=9)
@@ -462,6 +462,25 @@ class TestCheckpoints:
                           hidden_size=64)
         model = build_model(cfg, seed=3)
         assert traced_peak(lambda: save_checkpoint(model, tmp_path / "big.splm")) <= 1 << 20
+
+    @pytest.mark.parametrize("variant", ["baseline", "spl"])
+    def test_training_a_loaded_model_leaves_its_views_alone(self, tmp_path, variant):
+        # the loaded parameters are read-only views of the file's bytes; train
+        # works on writeable copies of them
+        env = synth_traverse(30, 8, seed=1)
+        cfg = ModelConfig.for_traversal(30, 4, variant=variant, descriptor_dim=8,
+                                        hidden_size=8)
+        path = tmp_path / "model.splm"
+        save_checkpoint(build_model(cfg, seed=2), path)
+        loaded = load_checkpoint(path)
+        views = parameter_list(loaded)
+        before = [v.tobytes() for v in views]
+        trained, _ = train(loaded, env.descriptors, env.poses, 4, TrainConfig(epochs=2))
+        arrays = parameter_list(trained)
+        assert [v.tobytes() for v in views] == before
+        assert all(a.flags.writeable for a in arrays)
+        assert not any(np.shares_memory(a, v) for a in arrays for v in views)
+        assert not params_equal(loaded, trained)  # and training did move them
 
     def test_wrong_magic_rejected(self, tmp_path, trained_small):
         _, model, _ = trained_small
