@@ -111,7 +111,7 @@ def cmd_synth(args) -> int:
     }
     env = synth_traverse(args.frames, args.dim, args.seed, smoothness=args.smoothness)
     query = None
-    if args.noise > 0.0 or args.warp is not None:
+    if args.noise != 0.0 or args.warp is not None or args.pose_noise is not None:
         query, gt = perturb_query(env, args.noise, _parse_warp(args.warp),
                                   args.seed + 1, pose_noise_sigma=args.pose_noise)
     os.makedirs(args.out, exist_ok=True)
@@ -153,7 +153,7 @@ def cmd_train(args) -> int:
     params = {"model": dataclasses.asdict(model_cfg), "train": dataclasses.asdict(train_cfg)}
     manifest = _start_manifest("train", params, [args.desc, args.poses], train_cfg.seed)
     model = build_model(model_cfg, train_cfg.seed)
-    trained, history = train(model, desc, poses, args.tw, train_cfg)
+    trained, history = train(model, desc, poses, train_cfg)
     save_checkpoint(trained, args.out)
     write_table(f"{args.out}.history.csv", "epoch,loss,accuracy,lr",
                 zip(range(len(history.loss)), history.loss, history.accuracy, history.lr))

@@ -210,10 +210,10 @@ class Rescaled(NamedTuple):
         d = self.distances
         dmin = d.min(axis=1)
         lo, hi = dmin.min(), d.max()
-        if hi == lo:
-            return np.zeros(d.shape[0], np.intp), np.ones(d.shape[0])
         if not np.isfinite(hi - lo):  # also when a row minimum is not finite
             return None
+        if hi == lo:
+            return np.zeros(d.shape[0], np.intp), np.ones(d.shape[0])
         # a score never rises with d under round-to-nearest, so each row's
         # best is its score at dmin, and its argmaxes lie at or below any t
         # that scores lower: only those candidates need their score formed

@@ -15,6 +15,7 @@ import math
 import platform
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,39 +110,14 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-@dataclass
-class LstmParams:
-    """Stacked gate parameters; row blocks ordered input, forget, candidate, output."""
+class LstmParams(NamedTuple):
+    """One cell's gate parameters, views of a model's tensors: input
+    weights, recurrent weights and bias, their rows stacked in blocks
+    ordered input, forget, candidate, output."""
 
-    w_x: np.ndarray  # (4H, D)
-    w_h: np.ndarray  # (4H, H)
-    b: np.ndarray    # (4H,)
-
-    def __post_init__(self):
-        h4, d = self.w_x.shape
-        if h4 % 4 != 0:
-            raise ValidationError(f"w_x must have 4H rows, got {h4}")
-        h = h4 // 4
-        if self.w_h.shape != (h4, h):
-            raise ValidationError(
-                f"w_h shape {self.w_h.shape} inconsistent with w_x {self.w_x.shape}"
-            )
-        if self.b.shape != (h4,):
-            raise ValidationError(f"b shape {self.b.shape}, expected ({h4},)")
-        for name in ("w_x", "w_h", "b"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValidationError(f"non-finite entries in {name}")
-
-    @classmethod
-    def initialize(cls, input_dim: int, hidden_size: int, rng: np.random.Generator,
-                   dtype=np.float32) -> "LstmParams":
-        """Uniform(-1/sqrt(H), 1/sqrt(H)) weights; zero biases except forget = 1."""
-        limit = 1.0 / math.sqrt(hidden_size)
-        w_x = rng.uniform(-limit, limit, (4 * hidden_size, input_dim)).astype(dtype)
-        w_h = rng.uniform(-limit, limit, (4 * hidden_size, hidden_size)).astype(dtype)
-        b = np.zeros(4 * hidden_size, dtype=dtype)
-        b[hidden_size:2 * hidden_size] = 1.0
-        return cls(w_x=w_x, w_h=w_h, b=b)
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
 
 
 @dataclass
@@ -183,9 +159,9 @@ def lstm_step_batch(z, h_prev, c_prev):
     return h_new, c, StepCache(h_prev, c_prev, *gates, h_new)
 
 
-def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams, gw_h):
-    """Backward through one step; accumulates the recurrent-weight gradient
-    into gw_h.
+def lstm_step_backward(dh, dc_in, cache: StepCache, w_h, gw_h):
+    """Backward through one step of a cell with recurrent weights w_h;
+    accumulates their gradient into gw_h.
 
     Returns (dz, dh_prev, dc_prev): dz is the pre-activation gradient,
     flushed (flush_tiny), from which the caller forms the input-weight and
@@ -203,7 +179,7 @@ def lstm_step_backward(dh, dc_in, cache: StepCache, params: LstmParams, gw_h):
     dzo = do * cache.o * (1.0 - cache.o)
     dz = flush_tiny(np.concatenate([dzi, dzf, dzg, dzo], axis=1))
     gw_h += dz.T @ cache.h_prev
-    return dz, dz @ params.w_h, dc_prev
+    return dz, dz @ w_h, dc_prev
 
 
 def softmax(logits):

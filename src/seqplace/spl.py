@@ -6,8 +6,7 @@ deployment inference and checkpoint persistence.
 Checkpoint format: magic "SPLM", little-endian uint32 version (=1) and
 variant tag (0 baseline / 1 dual), uint32 descriptor_dim, hidden_size,
 num_places, tw, float64 pose_weight, float64 pose mu[2] and sigma[2],
-then float32 tensors in order: env w_x, env w_h, env b, (dual only:
-second-cell w_x, w_h, b), output weights, output bias.
+then the model's float32 parameter tensors, as _tensor_shapes lists them.
 """
 
 from __future__ import annotations
@@ -44,26 +43,40 @@ _INFER_CHUNK = 512
 
 @dataclass
 class SplModel:
-    """All learnable parameters plus the pose statistics captured at training.
+    """The learnable parameters, as the list of tensors that the checkpoint
+    stores and Adam steps, in _tensor_shapes order, plus the pose statistics
+    captured at training.
 
     Treat instances as immutable once trained; inference never mutates them.
     """
 
     config: ModelConfig
-    env_lstm: nn.LstmParams
-    spl_lstm: nn.LstmParams | None
-    w_out: np.ndarray
-    b_out: np.ndarray
+    params: list
     pose_mu: np.ndarray
     pose_sigma: np.ndarray
 
     @property
-    def variant(self) -> str:
-        return self.config.variant
-
-    @property
     def dtype(self):
-        return self.w_out.dtype
+        return self.params[0].dtype
+
+    def layers(self):
+        """Named views of params: (env cell, second cell or None for the
+        baseline, output weights w_out, output bias b_out)."""
+        p = self.params
+        second = nn.LstmParams(*p[3:6]) if self.config.variant == "spl" else None
+        return nn.LstmParams(*p[:3]), second, p[-2], p[-1]
+
+
+def _tensor_shapes(cfg: ModelConfig) -> list:
+    """The parameter tensors' shapes, in the order the model and its
+    checkpoint keep them: the env cell's w_x, w_h and b; for spl, the
+    second cell's w_x, w_h and b; then the output w_out and b_out."""
+    n, h = cfg.descriptor_dim, cfg.hidden_size
+    shapes = [(4 * h, n + 2), (4 * h, h), (4 * h,)]
+    if cfg.variant == "spl":
+        shapes += [(4 * h, n + h), (4 * h, h), (4 * h,)]
+    shapes += [(cfg.num_places, h), (cfg.num_places,)]
+    return shapes
 
 
 @dataclass
@@ -75,36 +88,20 @@ class TrainHistory:
     lr: list = field(default_factory=list)
 
 
-def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> SplModel:
-    """Initialize a model deterministically from the seed."""
+def build_model(config: ModelConfig, seed: int) -> SplModel:
+    """Initialize a model deterministically from the seed: weights drawn
+    from Uniform(-1/sqrt(H), 1/sqrt(H)) in tensor order, zero biases except
+    the cells' forget blocks, which are 1."""
     rng = seeded_rng(seed)
-    n, h = config.descriptor_dim, config.hidden_size
-    env = nn.LstmParams.initialize(n + 2, h, rng, dtype=dtype)
-    second = None
-    if config.variant == "spl":
-        second = nn.LstmParams.initialize(n + h, h, rng, dtype=dtype)
-    limit = 1.0 / np.sqrt(h)
-    w_out = rng.uniform(-limit, limit, (config.num_places, h)).astype(dtype)
-    b_out = np.zeros(config.num_places, dtype=dtype)
-    return SplModel(config=config, env_lstm=env, spl_lstm=second,
-                    w_out=w_out, b_out=b_out,
-                    pose_mu=np.zeros(2), pose_sigma=np.ones(2))
-
-
-def parameter_list(model: SplModel) -> list:
-    """Model parameters in the canonical (checkpoint) order."""
-    params = [model.env_lstm.w_x, model.env_lstm.w_h, model.env_lstm.b]
-    if model.spl_lstm is not None:
-        params += [model.spl_lstm.w_x, model.spl_lstm.w_h, model.spl_lstm.b]
-    params += [model.w_out, model.b_out]
-    return params
-
-
-def _from_parameters(config: ModelConfig, params: list, pose_mu, pose_sigma) -> SplModel:
-    """The model whose parameter_list is params, taken as given (no copies)."""
-    second = nn.LstmParams(*params[3:6]) if config.variant == "spl" else None
-    return SplModel(config=config, env_lstm=nn.LstmParams(*params[:3]), spl_lstm=second,
-                    w_out=params[-2], b_out=params[-1], pose_mu=pose_mu, pose_sigma=pose_sigma)
+    h = config.hidden_size
+    limit = 1.0 / math.sqrt(h)
+    params = [rng.uniform(-limit, limit, shape).astype(np.float32) if len(shape) == 2
+              else np.zeros(shape, np.float32) for shape in _tensor_shapes(config)]
+    model = SplModel(config, params, pose_mu=np.zeros(2), pose_sigma=np.ones(2))
+    for cell in model.layers()[:2]:
+        if cell is not None:
+            cell.b[h:2 * h] = 1.0
+    return model
 
 
 class _Inputs(NamedTuple):
@@ -122,11 +119,11 @@ def _inputs(model: SplModel, desc: np.ndarray, std_pose: np.ndarray) -> _Inputs:
     n = cfg.descriptor_dim
     desc = desc.astype(model.dtype, copy=False)
     pose_w = (std_pose * cfg.pose_weight).astype(model.dtype)
-    env = model.env_lstm
+    env, second, _, _ = model.layers()
     env_in = desc @ env.w_x[:, :n].T + pose_w @ env.w_x[:, n:].T + env.b
     spl_in = None
-    if model.spl_lstm is not None:
-        spl_in = desc @ model.spl_lstm.w_x[:, :n].T + model.spl_lstm.b
+    if second is not None:
+        spl_in = desc @ second.w_x[:, :n].T + second.b
     return _Inputs(desc, pose_w, env_in, spl_in)
 
 
@@ -155,7 +152,7 @@ def _forward(model: SplModel, inputs: _Inputs, rows: np.ndarray, keep_cache: boo
     Returns (logits, ctx); ctx carries what _backward needs, or is None
     unless keep_cache is set.
     """
-    env, second = model.env_lstm, model.spl_lstm
+    env, second, w_out, b_out = model.layers()
     dual = second is not None
     h_env = np.zeros((rows.shape[1], model.config.hidden_size), dtype=model.dtype)
     c_env = np.zeros_like(h_env)
@@ -170,8 +167,8 @@ def _forward(model: SplModel, inputs: _Inputs, rows: np.ndarray, keep_cache: boo
             z = inputs.spl[row] + h_env @ w_hx.T + h_spl @ second.w_h.T
             h_spl, c_spl = _step(z, h_spl, c_spl, spl_caches)
     h_final = h_spl if dual else h_env
-    logits = h_final @ model.w_out.T
-    logits += model.b_out
+    logits = h_final @ w_out.T
+    logits += b_out
     ctx = None
     if keep_cache:
         ctx = {"inputs": inputs, "rows": rows, "env": env_caches, "spl": spl_caches,
@@ -189,11 +186,11 @@ def _backward(model: SplModel, ctx, dlogits: np.ndarray) -> list:
     rows[t] never repeats a frame.
     """
     inputs, rows = ctx["inputs"], ctx["rows"]
-    env, second = model.env_lstm, model.spl_lstm
+    env, second, w_out, _ = model.layers()
     dual = second is not None
     dw_out = dlogits.T @ ctx["h_final"]
     db_out = dlogits.sum(axis=0)
-    dh = dlogits @ model.w_out
+    dh = dlogits @ w_out
     dz_env = np.zeros_like(inputs.env)
     gw_h_env = np.zeros_like(env.w_h)
     dh_env, dc_env = dh, np.zeros_like(dh)
@@ -207,13 +204,14 @@ def _backward(model: SplModel, ctx, dlogits: np.ndarray) -> list:
     for t in reversed(range(len(rows))):
         if dual:
             dz, dh_spl, dc_spl = nn.lstm_step_backward(
-                dh_spl, dc_spl, ctx["spl"][t], second, gw_h_spl)
+                dh_spl, dc_spl, ctx["spl"][t], second.w_h, gw_h_spl)
             dz_spl[rows[t]] += dz
             # the second cell reads [d_t ; h_env_t], the env cell's output at
             # the same step: route that part of its input gradient there
             gw_hx += dz.T @ ctx["env"][t].h
             dh_env = dh_env + dz @ w_hx
-        dz, dh_env, dc_env = nn.lstm_step_backward(dh_env, dc_env, ctx["env"][t], env, gw_h_env)
+        dz, dh_env, dc_env = nn.lstm_step_backward(dh_env, dc_env, ctx["env"][t], env.w_h,
+                                                   gw_h_env)
         dz_env[rows[t]] += dz
     grads = [dz_env.T @ np.hstack([inputs.desc, inputs.pose_w]), gw_h_env, dz_env.sum(axis=0)]
     if dual:
@@ -233,20 +231,18 @@ def _check_sequences(cfg: ModelConfig, descriptors: DescriptorSequence,
 
 
 def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
-          tw: int, config: TrainConfig):
+          config: TrainConfig):
     """Train on every temporal window of the traversal, label = start index.
 
     Returns (trained model, TrainHistory); the input model is not modified.
     """
     cfg = model.config
-    if tw != cfg.tw:
-        raise ValidationError(f"tw={tw} does not match the model's tw={cfg.tw}")
     _check_sequences(cfg, descriptors, poses, "")
     cfg.check_total_frames(descriptors.n_frames)
     standardized, mu, sigma = standardize_poses(poses)
     std_data = standardized.data
 
-    work = _from_parameters(cfg, [p.copy() for p in parameter_list(model)], mu, sigma)
+    work = SplModel(cfg, [p.copy() for p in model.params], mu, sigma)
     history = TrainHistory()
     if config.epochs == 0:
         return work, history
@@ -255,8 +251,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
     # windows end at frame N-2, so the final frame is left out, mirroring the
     # window enumeration of the reproduced method
     count = cfg.num_places
-    params = parameter_list(work)
-    adam = nn.AdamState.for_params(params)
+    adam = nn.AdamState.for_params(work.params)
     sched = nn.SchedulerState(current_lr=config.initial_lr)
     rng = seeded_rng(config.seed)
     batch_size = count if config.batch_size == "all" else min(config.batch_size, count)
@@ -269,7 +264,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
             hits = 0
             for start in range(0, count, batch_size):
                 idx = order[start:start + batch_size]
-                frames, rows = _window_frames(idx, tw)
+                frames, rows = _window_frames(idx, cfg.tw)
                 inputs = _inputs(work, descriptors.data[frames], std_data[frames])
                 logits, ctx = _forward(work, inputs, rows, keep_cache=True)
                 losses, dlogits = nn.softmax_cross_entropy_batch(
@@ -280,7 +275,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
                         f"non-finite loss at epoch {epoch}, batch starting at sample {start}"
                     )
                 grads = _backward(work, ctx, (dlogits / len(idx)).astype(work.dtype))
-                nn.adam_step(params, grads, adam, sched.current_lr)
+                nn.adam_step(work.params, grads, adam, sched.current_lr)
                 loss_sum += float(losses.sum())
                 hits += int((logits.argmax(axis=1) == idx).sum())
             epoch_loss = loss_sum / count
@@ -343,18 +338,9 @@ def save_checkpoint(model: SplModel, path) -> None:
                            cfg.descriptor_dim, cfg.hidden_size, cfg.num_places, cfg.tw)
     with atomic_open(path, binary=True) as fh:
         fh.write(head + struct.pack("<d", cfg.pose_weight) + mu.tobytes() + sigma.tobytes())
-        for tensor in parameter_list(model):
+        for tensor in model.params:
             # the little-endian float32 tensor itself, not a bytes copy of it
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").data)
-
-
-def _tensor_shapes(cfg: ModelConfig) -> list:
-    n, h = cfg.descriptor_dim, cfg.hidden_size
-    shapes = [(4 * h, n + 2), (4 * h, h), (4 * h,)]
-    if cfg.variant == "spl":
-        shapes += [(4 * h, n + h), (4 * h, h), (4 * h,)]
-    shapes += [(cfg.num_places, h), (cfg.num_places,)]
-    return shapes
 
 
 def load_checkpoint(path) -> SplModel:
@@ -399,4 +385,4 @@ def load_checkpoint(path) -> SplModel:
         offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} unexpected trailing bytes")
-    return _from_parameters(cfg, tensors, pose_mu, pose_sigma)
+    return SplModel(cfg, tensors, pose_mu, pose_sigma)

@@ -4,6 +4,7 @@ Everything here is written against the documented behavior with plain
 loops and stays independent of the library's vectorized code paths.
 """
 
+import dataclasses
 import math
 import platform
 import sys
@@ -93,14 +94,16 @@ def spl_window_scores(model, desc, std_pose):
     cfg = model.config
     hidden = [0.0] * cfg.hidden_size
     h_env, c_env, h_spl, c_spl = hidden, hidden, hidden, hidden
-    env = [p.tolist() for p in (model.env_lstm.w_x, model.env_lstm.w_h, model.env_lstm.b)]
-    second = [p.tolist() for p in (model.spl_lstm.w_x, model.spl_lstm.w_h, model.spl_lstm.b)]
+    # the documented tensor order: env w_x, w_h, b; second cell's; w_out, b_out
+    env = [p.tolist() for p in model.params[:3]]
+    second = [p.tolist() for p in model.params[3:6]]
+    w_out, b_out = (p.tolist() for p in model.params[6:])
     for d, pose in zip(desc, std_pose):
         d = [float(v) for v in d]
         x_env = d + [float(v) * cfg.pose_weight for v in pose]
         h_env, c_env = scalar_lstm_step(x_env, h_env, c_env, *env)
         h_spl, c_spl = scalar_lstm_step(d + h_env, h_spl, c_spl, *second)
-    logits = linear(h_spl, model.w_out.tolist(), model.b_out.tolist())
+    logits = linear(h_spl, w_out, b_out)
     m = max(logits)
     e = [math.exp(v - m) for v in logits]
     return [v / sum(e) for v in e]
@@ -344,6 +347,11 @@ def grad_check(loss, params, grads, eps: float) -> float:
             denom = max(abs(gflat[k]), abs(numeric), 1e-8)
             worst = max(worst, abs(gflat[k] - numeric) / denom)
     return worst
+
+
+def widened(model):
+    """The model with float64 copies of its parameters, for grad_check."""
+    return dataclasses.replace(model, params=[p.astype(np.float64) for p in model.params])
 
 
 def adam_scalar_steps(grad, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import grad_check, pr_sweep_brute, score_matrix, seqslam_scores_brute
+from oracles import grad_check, pr_sweep_brute, score_matrix, seqslam_scores_brute, widened
 from seqplace import classic, nn
 from seqplace.classic import SeqSlamConfig, seqslam_rows, velocity_grid
 from seqplace.core import (
@@ -41,7 +41,6 @@ from seqplace.spl import (
     build_model,
     infer,
     load_checkpoint,
-    parameter_list,
     save_checkpoint,
     score_rows,
     train,
@@ -72,7 +71,7 @@ def train_canonical(env, tw, epochs=500):
     cfg = ModelConfig.for_traversal(120, tw, variant="spl", descriptor_dim=32,
                                     hidden_size=64)
     model = build_model(cfg, seed=MODEL_SEED)
-    return train(model, env.descriptors, env.poses, tw,
+    return train(model, env.descriptors, env.poses,
                  TrainConfig(epochs=epochs, seed=TRAIN_SEED))
 
 
@@ -109,14 +108,14 @@ def test_c1_gradient_correctness():
         for seed in range(5):
             cfg = ModelConfig(variant=variant, descriptor_dim=8, num_places=16,
                               tw=4, hidden_size=12, pose_weight=500.0)
-            model = build_model(cfg, seed=seed, dtype=np.float64)
+            model = widened(build_model(cfg, seed=seed))
             rng = seeded_rng(900 + seed)
             desc = rng.standard_normal((4, 8))
             # small pose magnitudes keep every gate in its responsive range,
             # where finite differences are informative
             pose = rng.standard_normal((4, 2)) * 0.002
             targets = [seed % 16]
-            params = parameter_list(model)
+            params = model.params
             _, rows = _window_frames(np.array([0]), 4)
 
             def loss():
@@ -359,12 +358,12 @@ def test_c9_format_round_trips(tmp_path):
     env = synth_traverse(30, 8, seed=91)
     cfg = ModelConfig.for_traversal(30, 4, variant="spl", descriptor_dim=8,
                                     hidden_size=8)
-    model, _ = train(build_model(cfg, seed=92), env.descriptors, env.poses, 4,
+    model, _ = train(build_model(cfg, seed=92), env.descriptors, env.poses,
                      TrainConfig(epochs=2, seed=93))
     ckpt = tmp_path / "m.splm"
     save_checkpoint(model, ckpt)
     loaded = load_checkpoint(ckpt)
-    for a, b in zip(parameter_list(model), parameter_list(loaded)):
+    for a, b in zip(model.params, loaded.params):
         assert np.array_equal(a, b)
     assert np.array_equal(
         np.vstack(list(score_rows(model, env.descriptors, env.poses))),
@@ -376,5 +375,5 @@ def test_c9_format_round_trips(tmp_path):
     bad_ckpt.write_bytes(bytes(wrong))
     with pytest.raises(FormatError):
         load_checkpoint(bad_ckpt)
-    assert load_checkpoint(ckpt).variant == "spl"
+    assert load_checkpoint(ckpt).config.variant == "spl"
     print("\nACCEPTANCE C9 format-round-trips: PASS")

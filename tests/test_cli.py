@@ -74,14 +74,30 @@ class TestSynth:
 
     @pytest.mark.parametrize("noise", [["--noise", "nan", "--warp", "1.0"],
                                        ["--noise", "0.1", "--pose-noise", "nan"],
-                                       ["--noise", "0.1", "--pose-noise", "-1"]],
-                             ids=["nan-noise", "nan-pose-noise", "negative-pose-noise"])
+                                       ["--noise", "0.1", "--pose-noise", "-1"],
+                                       ["--noise", "nan"], ["--noise", "-1"],
+                                       ["--pose-noise", "nan"]],
+                             ids=["nan-noise", "nan-pose-noise", "negative-pose-noise",
+                                  "nan-noise-alone", "negative-noise-alone",
+                                  "nan-pose-noise-alone"])
     def test_bad_noise_sigma_rejected(self, tmp_path, noise):
-        # NaN would add no noise and reach the manifest, which is then not JSON
+        # NaN would add no noise and reach the manifest, which is then not JSON;
+        # any noise flag asks for a query, so a bad sigma is never ignored
         out = tmp_path / "out"
         code = run("synth", "--frames", "30", "--dim", "8", *noise, "--out", str(out))
         assert code == EXIT_USAGE
         assert not out.exists()
+
+    def test_pose_noise_alone_makes_a_query(self, tmp_path):
+        out = tmp_path / "out"
+        code = run("synth", "--frames", "30", "--dim", "8", "--pose-noise", "0.1",
+                   "--out", str(out))
+        assert code == EXIT_OK
+        ref, query = load_poses(out / "ref_poses.csv"), load_poses(out / "query_poses.csv")
+        assert query.n_frames == ref.n_frames
+        assert not np.array_equal(query.data, ref.data)
+        assert np.array_equal(load_descriptors(out / "query_descriptors.spld").data,
+                              load_descriptors(out / "ref_descriptors.spld").data)
 
     def test_repeat_run_bit_identical(self, tmp_path, synth_dir):
         again = tmp_path / "again"
@@ -295,9 +311,10 @@ class TestInferAndEval:
 
     def test_non_finite_checkpoint_rejected(self, synth_dir, trained, tmp_path):
         clean = load_checkpoint(trained)
-        w_out = clean.w_out.copy()
+        w_out = clean.params[-2].copy()
         w_out.flat[0] = np.nan
-        save_checkpoint(dataclasses.replace(clean, w_out=w_out), tmp_path / "nan_w_out.splm")
+        params = [*clean.params[:-2], w_out, clean.params[-1]]
+        save_checkpoint(dataclasses.replace(clean, params=params), tmp_path / "nan_w_out.splm")
         # save_checkpoint refuses a non-finite sigma, so it goes into the bytes:
         # sigma[0] follows the 28-byte header, the pose weight and mu
         blob = bytearray(trained.read_bytes())
@@ -318,11 +335,12 @@ class TestInferAndEval:
         # every value is finite, so the checkpoint loads, but the place-0
         # logit overflows and the softmax turns it into NaN
         clean = load_checkpoint(trained)
-        w_out, b_out = clean.w_out.copy(), clean.b_out.copy()
+        w_out, b_out = (p.copy() for p in clean.params[-2:])
         w_out[0, :] = -3.4e38
         b_out[0] = 3.4e38
         ckpt = tmp_path / "overflow.splm"
-        save_checkpoint(dataclasses.replace(clean, w_out=w_out, b_out=b_out), ckpt)
+        save_checkpoint(dataclasses.replace(clean, params=[*clean.params[:-2], w_out, b_out]),
+                        ckpt)
         load_checkpoint(ckpt)
         scores = tmp_path / "overflow.csv"
         code = run("infer", "--ckpt", str(ckpt),

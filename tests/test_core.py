@@ -241,6 +241,13 @@ class TestRescaled:
         with pytest.raises(NumericsError, match=r"^non-finite distance at query 7, place 2$"):
             MatchScores.from_scores([np.zeros((2, 6)), record], 6)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_all_infinite_record_is_not_constant(self, bad):
+        # hi == lo, but hi - lo is NaN: a fault, not a record of all-one scores
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericsError, match=r"^non-finite distance at query 0, place 0$"):
+                MatchScores.from_scores([Rescaled(np.full((3, 4), bad))], 4)
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_overflowing_span_names_the_least_distance(self, order):
         d = seeded_rng(34).uniform(0, 5, (7, 6))

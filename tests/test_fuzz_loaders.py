@@ -228,7 +228,8 @@ def test_checkpoint(tmp_path, blob):
     model = load_bytes(tmp_path, "m.splm", blob, load_checkpoint)
     if model is not None:
         assert isinstance(model, SplModel)
-        assert np.isfinite(model.w_out).all() and np.isfinite(model.pose_sigma).all()
+        assert all(np.isfinite(p).all() for p in model.params)
+        assert np.isfinite(model.pose_sigma).all()
         assert (model.pose_sigma >= 0).all()
 
 

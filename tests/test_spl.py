@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import (
     subnormal_mask,
     subnormal_probe,
     traced_peak,
+    widened,
 )
 from seqplace import nn, spl
 from seqplace.core import (
@@ -34,7 +36,6 @@ from seqplace.spl import (
     build_model,
     infer,
     load_checkpoint,
-    parameter_list,
     save_checkpoint,
     score_rows,
     train,
@@ -64,21 +65,21 @@ def window_batch(model, desc, pose, starts, targets):
 
 
 def params_equal(a, b):
-    pa, pb = parameter_list(a), parameter_list(b)
+    pa, pb = a.params, b.params
     return len(pa) == len(pb) and all(np.array_equal(x, y) for x, y in zip(pa, pb))
 
 
 class TestBuildModel:
     def test_spl_wiring_dims(self):
-        model = build_model(tiny_config(), seed=0)
-        assert model.env_lstm.w_x.shape[1] == 10  # n + 2
-        assert model.spl_lstm.w_x.shape[1] == 20  # n + hidden
-        assert model.w_out.shape == (16, 12)
+        env, second, w_out, _ = build_model(tiny_config(), seed=0).layers()
+        assert env.w_x.shape[1] == 10  # n + 2
+        assert second.w_x.shape[1] == 20  # n + hidden
+        assert w_out.shape == (16, 12)
 
     def test_baseline_single_cell(self):
-        model = build_model(tiny_config(variant="baseline"), seed=0)
-        assert model.spl_lstm is None
-        assert model.env_lstm.w_x.shape[1] == 10
+        env, second, _, _ = build_model(tiny_config(variant="baseline"), seed=0).layers()
+        assert second is None
+        assert env.w_x.shape[1] == 10
 
     def test_seed_determinism(self):
         a = build_model(tiny_config(), seed=9)
@@ -90,8 +91,22 @@ class TestBuildModel:
     def test_forget_bias_initialized_to_one(self):
         model = build_model(tiny_config(), seed=0)
         h = model.config.hidden_size
-        assert np.array_equal(model.env_lstm.b[h:2 * h], np.ones(h, np.float32))
-        assert np.array_equal(model.env_lstm.b[:h], np.zeros(h, np.float32))
+        for cell in model.layers()[:2]:
+            assert np.array_equal(cell.b[h:2 * h], np.ones(h, np.float32))
+            assert np.array_equal(cell.b[:h], np.zeros(h, np.float32))
+            assert np.array_equal(cell.b[2 * h:], np.zeros(2 * h, np.float32))
+
+    @pytest.mark.parametrize("variant, digest", [
+        ("spl", "dad237cf934fa5e80a91d44b3818183226764c75026404588091933e38d802bd"),
+        ("baseline", "5c8d66da039e7ba49c087cd986e7c50f7635b2c232589e1b6171fcda30ce4297"),
+    ])
+    def test_initial_checkpoint_bytes_are_pinned(self, tmp_path, variant, digest):
+        # the random stream, its order over the tensors, the forget biases and
+        # the checkpoint layout, as one digest
+        cfg = ModelConfig(variant, descriptor_dim=8, num_places=16, tw=4, hidden_size=12)
+        path = tmp_path / "init.splm"
+        save_checkpoint(build_model(cfg, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestForward:
@@ -106,20 +121,20 @@ class TestForward:
 
         zeros = [0.0] * 6
         x_env = desc[0].tolist() + (pose * 500.0).astype(np.float32)[0].tolist()
-        env, second = model.env_lstm, model.spl_lstm
+        env, second, w_out, b_out = model.layers()
         h_env, _ = scalar_lstm_step(x_env, zeros, zeros, env.w_x.tolist(),
                                     env.w_h.tolist(), env.b.tolist())
         h_spl, _ = scalar_lstm_step(desc[0].tolist() + h_env, zeros, zeros,
                                     second.w_x.tolist(), second.w_h.tolist(),
                                     second.b.tolist())
-        expected = linear(h_spl, model.w_out.tolist(), model.b_out.tolist())
+        expected = linear(h_spl, w_out.tolist(), b_out.tolist())
         assert np.allclose(logits, expected, atol=1e-6)
 
     def test_zero_parameters_pass_through_bias(self):
         model = build_model(tiny_config(), seed=0)
-        for p in parameter_list(model):
+        for p in model.params:
             p[...] = 0.0
-        model.b_out[...] = np.arange(16, dtype=np.float32)
+        model.params[-1][...] = np.arange(16, dtype=np.float32)
         rng = seeded_rng(5)
         logits = forward(model, rng.standard_normal((4, 8)).astype(np.float32),
                          rng.standard_normal((4, 2)))
@@ -163,7 +178,7 @@ class TestForward:
 def model_qualified_grad_check(variant, seed, n=8, hidden=12, n_out=16, tw=4):
     cfg = ModelConfig(variant=variant, descriptor_dim=n, num_places=n_out, tw=tw,
                       hidden_size=hidden, pose_weight=500.0)
-    model = build_model(cfg, seed, dtype=np.float64)
+    model = widened(build_model(cfg, seed))
     rng = seeded_rng(1000 + seed)
     desc = rng.standard_normal((tw, n))
     pose = rng.standard_normal((tw, 2)) * 0.002  # keep gates out of saturation
@@ -174,7 +189,7 @@ def model_qualified_grad_check(variant, seed, n=8, hidden=12, n_out=16, tw=4):
         return float(nn.softmax_cross_entropy_batch(logits, targets)[0][0])
 
     _, grads = window_batch(model, desc, pose, [0], targets)
-    return grad_check(loss, parameter_list(model), grads, eps=1e-5)
+    return grad_check(loss, model.params, grads, eps=1e-5)
 
 
 class TestGradients:
@@ -187,7 +202,7 @@ class TestGradients:
     def test_batch_gradient_is_sum_of_window_gradients(self, variant):
         # overlapping windows share frames, so their per-frame gradient rows
         # must add up rather than overwrite each other
-        model = build_model(tiny_config(variant), seed=5, dtype=np.float64)
+        model = widened(build_model(tiny_config(variant), seed=5))
         rng = seeded_rng(6)
         desc = rng.standard_normal((20, 8))
         pose = rng.standard_normal((20, 2)) * 0.002
@@ -211,7 +226,7 @@ class TestTrain:
         cfg = ModelConfig.for_traversal(30, 4, variant="spl", descriptor_dim=8,
                                         hidden_size=8)
         model = build_model(cfg, seed=2)
-        trained, history = train(model, env.descriptors, env.poses, 4,
+        trained, history = train(model, env.descriptors, env.poses,
                                  TrainConfig(epochs=0))
         assert params_equal(model, trained)
         assert history.loss == []
@@ -222,7 +237,7 @@ class TestTrain:
                           hidden_size=8)
         model = build_model(cfg, seed=2)
         with pytest.raises(ValidationError, match="output layer"):
-            train(model, env.descriptors, env.poses, 4, TrainConfig(epochs=1))
+            train(model, env.descriptors, env.poses, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("tw", [1, 2, 5])
     def test_windows_cover_all_but_the_last_frame(self, tw, monkeypatch):
@@ -242,13 +257,13 @@ class TestTrain:
         monkeypatch.setattr(nn, "softmax_cross_entropy_batch", recording)
         config = TrainConfig(epochs=2, batch_size=3, seed=4)
         model = build_model(cfg, seed=2)
-        trained, _ = train(model, env.descriptors, env.poses, tw, config)
+        trained, _ = train(model, env.descriptors, env.poses, config)
         assert sorted(targets) == sorted(2 * list(range(n_frames - tw)))
 
         def train_with_frame_changed(frame):
             data = env.descriptors.data.copy()
             data[frame] = -data[frame]
-            return train(model, DescriptorSequence(data=data), env.poses, tw, config)[0]
+            return train(model, DescriptorSequence(data=data), env.poses, config)[0]
 
         assert params_equal(train_with_frame_changed(n_frames - 1), trained)
         assert not params_equal(train_with_frame_changed(n_frames - 2), trained)
@@ -261,7 +276,7 @@ class TestTrain:
             cfg = ModelConfig.for_traversal(120, 5, variant="spl",
                                             descriptor_dim=32, hidden_size=64)
             model = build_model(cfg, seed=seed)
-            _, history = train(model, env.descriptors, env.poses, 5,
+            _, history = train(model, env.descriptors, env.poses,
                                TrainConfig(epochs=50, seed=seed, batch_size=16))
             assert history.loss[49] <= 0.5 * history.loss[0]
 
@@ -272,7 +287,7 @@ class TestTrain:
         accs = []
         for shuffle in (True, False):
             model = build_model(cfg, seed=32)
-            _, history = train(model, env.descriptors, env.poses, 5,
+            _, history = train(model, env.descriptors, env.poses,
                                TrainConfig(epochs=400, seed=33, batch_size=16,
                                            shuffle=shuffle))
             accs.append(history.accuracy[-1])
@@ -314,7 +329,7 @@ class TestTrain:
 
         monkeypatch.setattr(nn, "lstm_step_batch", checked_step)
         monkeypatch.setattr(nn, "lstm_step_backward", checked_backward)
-        train(build_model(cfg, seed=1), env.descriptors, env.poses, 4,
+        train(build_model(cfg, seed=1), env.descriptors, env.poses,
               TrainConfig(initial_lr=8e-3, epochs=5, seed=1))
         assert seen["min_gate"] < 1e-20, "gates did not saturate; the check is vacuous"
         assert seen["subnormal"] == set()
@@ -331,7 +346,7 @@ class TestTrain:
 
         monkeypatch.setattr(nn, "softmax_cross_entropy_batch", nan_loss)
         with pytest.raises(NumericsError, match="non-finite loss"):
-            train(build_model(cfg, seed=6), env.descriptors, env.poses, 4,
+            train(build_model(cfg, seed=6), env.descriptors, env.poses,
                   TrainConfig(epochs=3, seed=7))
         if FLUSH_MODE_AVAILABLE:
             assert inside == [0]
@@ -342,7 +357,7 @@ class TestTrain:
         cfg = ModelConfig.for_traversal(40, 4, variant="spl", descriptor_dim=8,
                                         hidden_size=8)
         model = build_model(cfg, seed=42)
-        _, history = train(model, env.descriptors, env.poses, 4,
+        _, history = train(model, env.descriptors, env.poses,
                            TrainConfig(epochs=60, seed=43, scheduler_patience=3))
         lrs = history.lr
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
@@ -354,7 +369,7 @@ def trained_small():
     cfg = ModelConfig.for_traversal(60, 4, variant="spl", descriptor_dim=16,
                                     hidden_size=32)
     model = build_model(cfg, seed=52)
-    trained, history = train(model, env.descriptors, env.poses, 4,
+    trained, history = train(model, env.descriptors, env.poses,
                              TrainConfig(epochs=400, seed=53, batch_size=16))
     return env, trained, history
 
@@ -453,7 +468,7 @@ class TestCheckpoints:
             tracemalloc.stop()
         # the bytes read, plus the one-byte-per-value mask of the finiteness check
         assert peak <= 1.25 * path.stat().st_size + (1 << 20)
-        assert not any(p.flags.writeable for p in parameter_list(model))
+        assert not any(p.flags.writeable for p in model.params)
 
     def test_save_makes_no_copy_of_the_parameters(self, tmp_path):
         # each float32 tensor goes to the file as it is: no bytes copies (the
@@ -473,10 +488,10 @@ class TestCheckpoints:
         path = tmp_path / "model.splm"
         save_checkpoint(build_model(cfg, seed=2), path)
         loaded = load_checkpoint(path)
-        views = parameter_list(loaded)
+        views = loaded.params
         before = [v.tobytes() for v in views]
-        trained, _ = train(loaded, env.descriptors, env.poses, 4, TrainConfig(epochs=2))
-        arrays = parameter_list(trained)
+        trained, _ = train(loaded, env.descriptors, env.poses, TrainConfig(epochs=2))
+        arrays = trained.params
         assert [v.tobytes() for v in views] == before
         assert all(a.flags.writeable for a in arrays)
         assert not any(np.shares_memory(a, v) for a in arrays for v in views)
@@ -531,10 +546,10 @@ class TestCheckpoints:
         model = build_model(cfg, seed=1)
         path = tmp_path / "baseline.splm"
         save_checkpoint(model, path)
-        assert load_checkpoint(path).variant == "baseline"
+        assert load_checkpoint(path).config.variant == "baseline"
 
     def test_float64_model_not_persistable(self, tmp_path):
-        model = build_model(tiny_config(), seed=1, dtype=np.float64)
+        model = widened(build_model(tiny_config(), seed=1))
         with pytest.raises(ValidationError, match="float32"):
             save_checkpoint(model, tmp_path / "x.splm")
 
