@@ -277,19 +277,15 @@ def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:
 
 
 def match(method: str, ref: DescriptorSequence, query: DescriptorSequence,
-          cfg: SeqSlamConfig, metric=None, delta_window=5, on_matrix=None) -> MatchScores:
+          cfg: SeqSlamConfig, metric=None, delta_window=5) -> MatchScores:
     """Run a classical method end to end: delta descriptors (delta only),
-    the similarity matrix (by default in the method's DEFAULT_METRIC), passed
-    to on_matrix when given, then the enhanced line search (seqslam) or
-    single-frame matching. on_matrix sees the matrix before the seqslam
-    stages reuse its buffer: it must copy what it keeps."""
+    the similarity matrix (by default in the method's DEFAULT_METRIC), then
+    the enhanced line search (seqslam) or single-frame matching."""
     if method not in DEFAULT_METRIC:
         raise ValidationError(f"method must be one of {tuple(DEFAULT_METRIC)}, got {method!r}")
     if method == "delta":
         ref, query = (delta_descriptors(d, delta_window) for d in (ref, query))
     sim = similarity_matrix(ref, query, metric=metric or DEFAULT_METRIC[method])
-    if on_matrix is not None:
-        on_matrix(sim)
     if method == "seqslam":
         # sim is this call's own, so the stages may work in its buffer
         return seqslam_match(contrast_enhance(sim, cfg.r_window), cfg)

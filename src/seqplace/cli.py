@@ -176,8 +176,7 @@ def cmd_infer(args) -> int:
 
 def cmd_match(args) -> int:
     from .classic import DEFAULT_METRIC, SeqSlamConfig, match
-    from .core import DescriptorSequence
-    from .ingest import load_descriptors, save_descriptors, save_scores
+    from .ingest import load_descriptors, save_scores
 
     ref = load_descriptors(args.ref)
     query = load_descriptors(args.query)
@@ -188,13 +187,7 @@ def cmd_match(args) -> int:
     params = {"method": args.method, "metric": metric, **dataclasses.asdict(cfg),
               "delta_window": args.delta_window}
     manifest = _start_manifest("match", params, [args.ref, args.query], None)
-
-    def export(sim):
-        save_descriptors(args.export_matrix, DescriptorSequence(data=sim))
-
-    scores = match(args.method, ref, query, cfg, metric, args.delta_window,
-                   on_matrix=export if args.export_matrix else None)
-    save_scores(args.out, scores)
+    save_scores(args.out, match(args.method, ref, query, cfg, metric, args.delta_window))
     return _finish(manifest, args.out)
 
 
@@ -347,8 +340,6 @@ def build_parser() -> _Parser:
     p.add_argument("--vstep", type=float, default=0.1)
     p.add_argument("--rwindow", type=int, default=10)
     p.add_argument("--delta-window", type=int, default=5)
-    p.add_argument("--export-matrix", default=None,
-                   help="also write the similarity matrix in descriptor format")
     p.add_argument("--out", required=True, help="scores CSV path")
     p.set_defaults(func=cmd_match)
 

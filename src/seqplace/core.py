@@ -210,7 +210,9 @@ class Rescaled(NamedTuple):
         d = self.distances
         dmin = d.min(axis=1)
         lo, hi = dmin.min(), d.max()
-        if not np.isfinite(hi - lo):  # also when a row minimum is not finite
+        with np.errstate(over="ignore", invalid="ignore"):  # a fault, raised by the caller
+            span = hi - lo
+        if not np.isfinite(span):  # also when a row minimum is not finite
             return None
         if hi == lo:
             return np.zeros(d.shape[0], np.intp), np.ones(d.shape[0])
@@ -411,15 +413,14 @@ def read_config_file(path) -> dict:
 
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-# how a .config value is read, for every key train writes there: TrainConfig's,
-# the model keys (recorded, not read by training) and weight_decay, which
-# older files record and which is fixed at 0
+# how a .config value is read, for every key train writes there: TrainConfig's
+# and the model keys (recorded, not read by training)
 _CONFIG_KEYS = {
     "initial_lr": float, "min_lr": float, "scheduler_factor": float,
     "epochs": int, "seed": int, "scheduler_patience": int,
     "batch_size": lambda text: text if text == "all" else int(text),
     "shuffle": lambda text: _BOOLS[text.lower()],
-    "weight_decay": float, **{f.name: str for f in fields(ModelConfig)},
+    **{f.name: str for f in fields(ModelConfig)},
 }
 
 
@@ -432,7 +433,5 @@ def train_config_from_mapping(raw: Mapping[str, str]) -> TrainConfig:
             values[key] = _CONFIG_KEYS[key](str(text))
         except (ValueError, KeyError) as exc:
             raise ValidationError(f"config key {key!r} has a bad value {text!r}") from exc
-    if values.pop("weight_decay", 0.0) != 0.0:
-        raise ValidationError("weight_decay is fixed at 0; remove the key or set it to 0")
     return TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)
                           if f.name in values})

@@ -22,20 +22,20 @@ import numpy as np
 from .core import NumericsError, ValidationError
 
 # Pre-activations are clamped before the nonlinearities to keep exp from
-# overflowing on extreme inputs. In float32, sigmoid is exactly 1 and tanh
-# exactly +-1 well before +-60, while sigmoid(-60) is about 8.7e-27: a
-# saturated gate is small but normal. Products that carry one or more such
-# gates (h = o * tanh(c), f * c_prev in the forward pass, and in the backward
-# pass dc * i, dc * f, do * o and the dz factors) reach 1e-27...1e-45, the
-# float32 subnormal range below 1.2e-38 that every GEMM and elementwise op
-# handles on a slow path. The clip does not prevent that; two things do.
-# flush_tiny, applied to h and to the pre-activation gradient dz where they
-# are made, zeroes the values the next step's GEMMs would multiply; and
-# spl.train runs its epochs under denormals_flushed, which flushes the
-# subnormal intermediate products in hardware. That mode exists on x86-64
-# Linux only and is a no-op elsewhere. Inference stays outside it: with the
-# mode on it gave the same bytes, and a gain that no benchmark pair has
-# confirmed yet.
+# overflowing. In float32, sigmoid is exactly 1 and tanh exactly +-1 well
+# before +-60, while sigmoid(-60) is about 8.7e-27, small but normal; yet
+# products that carry such gates (h = o * tanh(c), f * c_prev, and in the
+# backward pass dc * i, dc * f, do * o and the dz factors) reach the float32
+# subnormal range below 1.2e-38, which every GEMM and elementwise op handles
+# on a slow path. Two things keep training off it. flush_tiny zeroes h and dz
+# where they are made, so the next step's GEMMs multiply none; spl.train runs
+# its epochs under denormals_flushed, which flushes the intermediate products
+# in hardware on x86-64 Linux (a no-op elsewhere). That mode sets MXCSR for
+# the calling thread only, and BLAS worker threads keep their own: a 512x512
+# by 512x2048 GEMM of ~1e-20 operands took 1645 ms without the mode and 15 ms
+# in it on one BLAS thread, 855 and 917 ms on two, so with more threads
+# flush_tiny is the GEMMs' only guard. Inference stays outside the mode: it
+# gave the same bytes, and a gain that no benchmark pair has confirmed yet.
 GATE_CLIP = 60.0
 
 

@@ -144,9 +144,9 @@ class TestTrain:
                 "--poses", str(synth_dir / "ref_poses.csv"),
                 "--tw", "5", "--hidden", "16", "--lr", "0.004"]
         config = tmp_path / "train.cfg"
-        # weight_decay = 0.0 as older .config files record it; --lr overrides the file
+        # --lr overrides the file
         config.write_text("epochs = 3\nseed = 5\nbatch_size = 7\nshuffle = false\n"
-                          "weight_decay = 0.0\ninitial_lr = 0.5\n")
+                          "initial_lr = 0.5\n")
         by_flags, by_file = tmp_path / "flags.splm", tmp_path / "file.splm"
         assert run("train", *data, "--epochs", "3", "--seed", "5", "--batch", "7",
                    "--no-shuffle", "--out", str(by_flags)) == EXIT_OK
@@ -159,8 +159,7 @@ class TestTrain:
                 "initial_lr = 0.004"} <= set(recorded)
 
     def test_recorded_config_loads(self, synth_dir, tmp_path):
-        # a .config as train wrote it before unknown keys were rejected, and
-        # the same with the weight_decay line that older files record
+        # a .config as train wrote it before unknown keys were rejected
         recorded = ("variant = spl\ndescriptor_dim = 32\nnum_places = 115\ntw = 5\n"
                     "hidden_size = 16\npose_weight = 500.0\ninitial_lr = 0.004\n"
                     "min_lr = 1e-06\nepochs = 3\nbatch_size = 9\nseed = 4\n"
@@ -170,21 +169,23 @@ class TestTrain:
         by_flags = tmp_path / "flags.splm"
         assert run("train", *data, "--lr", "0.004", "--epochs", "3", "--batch", "9",
                    "--seed", "4", "--out", str(by_flags)) == EXIT_OK
-        for text in (recorded, recorded + "weight_decay = 0.0\n"):
-            config, out = tmp_path / "old.config", tmp_path / "file.splm"
-            config.write_text(text)
-            assert run("train", *data, "--config", str(config), "--out", str(out)) == EXIT_OK
-            assert out.read_bytes() == by_flags.read_bytes()
-            assert (tmp_path / "file.splm.config").read_text() == recorded
+        config, out = tmp_path / "old.config", tmp_path / "file.splm"
+        config.write_text(recorded)
+        assert run("train", *data, "--config", str(config), "--out", str(out)) == EXIT_OK
+        assert out.read_bytes() == by_flags.read_bytes()
+        assert (tmp_path / "file.splm.config").read_text() == recorded
 
-    def test_unknown_config_key_writes_nothing(self, synth_dir, tmp_path):
+    def test_unknown_config_key_writes_nothing(self, synth_dir, tmp_path, capsys):
+        # a misspelt key, and weight_decay, which no training field has
         config, out = tmp_path / "typo.config", tmp_path / "x.splm"
-        config.write_text("epoch = 3\n")
-        code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
-                   "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
-                   "--config", str(config), "--out", str(out))
-        assert code == EXIT_USAGE
-        assert not out.exists()
+        for line in ("epoch = 3", "weight_decay = 0.0"):
+            config.write_text(line + "\n")
+            code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
+                       "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
+                       "--config", str(config), "--out", str(out))
+            assert code == EXIT_USAGE
+            assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
+            assert sorted(os.listdir(tmp_path)) == ["typo.config"]
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_infinite_lr_rejected_up_front(self, synth_dir, tmp_path, route):
@@ -414,9 +415,7 @@ class TestMatch:
     def test_bad_velocity_grid_writes_nothing(self, synth_dir, tmp_path, grid):
         code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
                    "--query", str(synth_dir / "query_descriptors.spld"),
-                   "--method", "seqslam", *grid,
-                   "--export-matrix", str(tmp_path / "matrix.spld"),
-                   "--out", str(tmp_path / "scores.csv"))
+                   "--method", "seqslam", *grid, "--out", str(tmp_path / "scores.csv"))
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
 
@@ -427,24 +426,6 @@ class TestMatch:
                    "--method", method, "--vmax", "inf", "--out", str(tmp_path / "scores.csv"))
         assert code == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
-
-    def test_export_matrix_round_trips(self, synth_dir, tmp_path):
-        # seqslam drops its similarity matrix once enhanced; the export is
-        # the matrix as computed, equal to the library's and pairwise's
-        ref = load_descriptors(synth_dir / "ref_descriptors.spld")
-        query = load_descriptors(synth_dir / "query_descriptors.spld")
-        want = similarity_matrix(ref, query, metric="sad").astype(np.float32)
-        for method in ("pairwise", "seqslam"):
-            matrix_path = tmp_path / f"{method}.spld"
-            code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
-                       "--query", str(synth_dir / "query_descriptors.spld"),
-                       "--method", method, "--metric", "sad",
-                       "--export-matrix", str(matrix_path),
-                       "--out", str(tmp_path / f"{method}.csv"))
-            assert code == EXIT_OK
-            matrix = load_descriptors(matrix_path)
-            assert matrix.n_frames == 120  # one row per reference frame
-            assert np.array_equal(matrix.data, want)
 
 
 class TestBench:

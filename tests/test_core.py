@@ -244,19 +244,16 @@ class TestRescaled:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_all_infinite_record_is_not_constant(self, bad):
         # hi == lo, but hi - lo is NaN: a fault, not a record of all-one scores
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericsError, match=r"^non-finite distance at query 0, place 0$"):
-                MatchScores.from_scores([Rescaled(np.full((3, 4), bad))], 4)
+        with pytest.raises(NumericsError, match=r"^non-finite distance at query 0, place 0$"):
+            MatchScores.from_scores([Rescaled(np.full((3, 4), bad))], 4)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_overflowing_span_names_the_least_distance(self, order):
         d = seeded_rng(34).uniform(0, 5, (7, 6))
         d[3, 4], d[5, 1] = 1.7e308, -1.7e308  # finite, but hi - lo is not
         record = Rescaled(np.array(d, order=order))
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericsError,
-                               match=r"^distance span overflows at query 7, place 1$"):
-                MatchScores.from_scores([np.zeros((2, 6)), record], 6)
+        with pytest.raises(NumericsError, match=r"^distance span overflows at query 7, place 1$"):
+            MatchScores.from_scores([np.zeros((2, 6)), record], 6)
 
 
 class TestPrCurve:
@@ -413,7 +410,7 @@ class TestConfigFileRoundTrip:
         assert cfg.epochs == 10 and cfg.shuffle is False
 
     def test_unknown_key_rejected(self):
-        for key in ("epoch", "Epochs", "learning_rate", "weight-decay", ""):
+        for key in ("epoch", "Epochs", "learning_rate", "weight-decay", "weight_decay", ""):
             with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
                 train_config_from_mapping({"seed": "1", key: "3"})
 
@@ -422,14 +419,3 @@ class TestConfigFileRoundTrip:
                                                num_places=20, tw=4))
         raw = {key: str(value) for key, value in model.items()}
         assert train_config_from_mapping({**raw, "epochs": "3"}) == TrainConfig(epochs=3)
-
-    def test_nonzero_weight_decay_rejected(self, tmp_path):
-        # weight decay is fixed at 0: .config files that record it as 0 load
-        path = tmp_path / "c.cfg"
-        for value in ("0", "0.0", "-0.0"):
-            path.write_text(f"epochs = 3\nweight_decay = {value}\n")
-            assert train_config_from_mapping(read_config_file(path)) == TrainConfig(epochs=3)
-        for value in ("0.1", "1e-300", "nan", "none"):
-            path.write_text(f"weight_decay = {value}\n")
-            with pytest.raises(ValidationError, match="weight_decay"):
-                train_config_from_mapping(read_config_file(path))
