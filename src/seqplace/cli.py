@@ -126,8 +126,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .core import (ModelConfig, TrainConfig, ValidationError, read_config_file,
-                       train_config_from_mapping, write_config_file)
+    from .core import (ModelConfig, TrainConfig, ValidationError, parse_batch_size,
+                       read_config_file, train_config_from_mapping, write_config_file)
     from .ingest import load_descriptors, load_poses, write_table
     from .spl import build_model, save_checkpoint, train
 
@@ -135,15 +135,13 @@ def cmd_train(args) -> int:
     poses = load_poses(args.poses)
     base = train_config_from_mapping(read_config_file(args.config)) if args.config \
         else TrainConfig()
-    batch_size = args.batch
-    if batch_size not in (None, "all"):
-        try:
-            batch_size = int(batch_size)
-        except ValueError:
-            raise ValidationError(f'--batch must be an integer or "all", got {args.batch!r}')
+    try:
+        batch_size = None if args.batch is None else parse_batch_size(args.batch)
+    except ValueError:
+        raise ValidationError(f'--batch must be an integer or "all", got {args.batch!r}')
     # a flag overrides the config file, which overrides the TrainConfig default
     flags = {"initial_lr": args.lr, "min_lr": args.min_lr, "epochs": args.epochs,
-             "batch_size": batch_size, "seed": args.seed, "shuffle": args.shuffle}
+             "batch_size": batch_size, "seed": args.seed}
     train_cfg = dataclasses.replace(
         base, **{key: value for key, value in flags.items() if value is not None})
     model_cfg = ModelConfig.for_traversal(
@@ -192,7 +190,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .core import PrCurve, ValidationError
+    from .core import ValidationError
     from .evaluate import GroundTruth, pr_curve_from_arrays, write_auc_csv, write_pr_csv
     from .ingest import load_ground_truth, load_poses, load_scores
 
@@ -218,8 +216,8 @@ def cmd_eval(args) -> int:
     curves = pr_curve_from_arrays(predicted, confidence, gt, ref_poses=ref_poses)
     for i, radius in enumerate(radii):
         if len(radii) <= 5:
-            write_pr_csv(f"{args.out}_pr_r{radius:g}.csv",
-                         PrCurve(curves.threshold, curves.precision[i], curves.recall[i]))
+            write_pr_csv(f"{args.out}_pr_r{radius:g}.csv", curves.threshold,
+                         curves.precision[i], curves.recall[i])
         print(f"radius={radius:g} auc={curves.auc[i]:.6f} "
               f"max_recall_at_full_precision={curves.max_recall_at_full_precision[i]:.6f}")
     write_auc_csv(f"{args.out}_auc.csv", zip(map(float, radii), curves.auc.tolist()))
@@ -314,8 +312,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pos-weight", type=float, default=500.0)
     p.add_argument("--batch", default=None, help='minibatch size or "all" (the default)')
     p.add_argument("--seed", type=int, default=None, help="default 0")
-    p.add_argument("--shuffle", action=argparse.BooleanOptionalAction, default=None,
-                   help="shuffle windows each epoch (the default)")
     p.add_argument("--config", default=None,
                    help="key = value config file; flags override its values")
     p.add_argument("--out", required=True, help="checkpoint path")

@@ -161,9 +161,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int | str = "all"
     seed: int = 0
-    scheduler_factor: float = 0.5
-    scheduler_patience: int = 10
-    shuffle: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.initial_lr):
@@ -173,14 +170,8 @@ class TrainConfig:
                 f"need 0 < min_lr <= initial_lr, got min_lr={self.min_lr}, "
                 f"initial_lr={self.initial_lr}"
             )
-        if not (0.0 < self.scheduler_factor < 1.0):
-            raise ValidationError(
-                f"scheduler_factor must lie in (0, 1), got {self.scheduler_factor}"
-            )
         if self.epochs < 0:
             raise ValidationError(f"epochs must be non-negative, got {self.epochs}")
-        if self.scheduler_patience < 1:
-            raise ValidationError("scheduler_patience must be at least 1")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
         if isinstance(self.batch_size, str):
@@ -380,18 +371,9 @@ def atomic_open(path, binary: bool = False):
 
 # --- configuration file format: `key = value` lines, `#` comments ---------
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_config_file(path, values: Mapping[str, object]) -> None:
     with atomic_open(path) as fh:
-        for key, value in values.items():
-            fh.write(f"{key} = {_format_value(value)}\n")
+        fh.writelines(f"{key} = {value}\n" for key, value in values.items())
 
 
 def read_config_file(path) -> dict:
@@ -412,15 +394,16 @@ def read_config_file(path) -> dict:
     return raw
 
 
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+def parse_batch_size(text: str) -> int | str:
+    """`train --batch` or a .config's batch_size: "all" or an int, else ValueError."""
+    return text if text == "all" else int(text)
+
+
 # how a .config value is read, for every key train writes there: TrainConfig's
 # and the model keys (recorded, not read by training)
 _CONFIG_KEYS = {
-    "initial_lr": float, "min_lr": float, "scheduler_factor": float,
-    "epochs": int, "seed": int, "scheduler_patience": int,
-    "batch_size": lambda text: text if text == "all" else int(text),
-    "shuffle": lambda text: _BOOLS[text.lower()],
-    **{f.name: str for f in fields(ModelConfig)},
+    "initial_lr": float, "min_lr": float, "epochs": int, "seed": int,
+    "batch_size": parse_batch_size, **{f.name: str for f in fields(ModelConfig)},
 }
 
 
@@ -431,7 +414,7 @@ def train_config_from_mapping(raw: Mapping[str, str]) -> TrainConfig:
             raise ValidationError(f"unknown config key {key!r}")
         try:
             values[key] = _CONFIG_KEYS[key](str(text))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"config key {key!r} has a bad value {text!r}") from exc
     return TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)
                           if f.name in values})

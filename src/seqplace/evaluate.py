@@ -164,9 +164,9 @@ def bench_latency(cases, repetitions: int) -> list:
 
 # --- plain-text output ---------------------------------------------------------
 
-def write_pr_csv(path, curve: PrCurve) -> None:
+def write_pr_csv(path, threshold, precision, recall) -> None:
     write_table(path, "threshold,precision,recall",
-                zip(curve.threshold.tolist(), curve.precision.tolist(), curve.recall.tolist()))
+                zip(threshold.tolist(), precision.tolist(), recall.tolist()))
 
 
 def write_auc_csv(path, rows) -> None:

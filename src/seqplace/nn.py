@@ -14,7 +14,7 @@ import functools
 import math
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -207,6 +207,7 @@ def softmax_cross_entropy_batch(logits, targets):
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+PLATEAU_FACTOR, PLATEAU_PATIENCE = 0.5, 10
 
 
 @dataclass
@@ -249,18 +250,15 @@ class SchedulerState:
     epochs_since_improvement: int = 0
 
 
-def plateau_step(state: SchedulerState, epoch_loss: float, factor: float,
-                 patience: int, min_lr: float) -> SchedulerState:
-    """Halt-and-decay rule: reset on strict improvement, decay once the
-    stagnation counter exceeds patience."""
+def plateau_step(state: SchedulerState, epoch_loss: float, min_lr: float) -> SchedulerState:
+    """Halt-and-decay rule: reset on strict improvement, multiply the rate by
+    PLATEAU_FACTOR once the stagnation counter exceeds PLATEAU_PATIENCE."""
     if not math.isfinite(epoch_loss):
         raise ValidationError(f"epoch loss must be finite, got {epoch_loss}")
     if epoch_loss < state.best_loss:
-        return SchedulerState(current_lr=state.current_lr, best_loss=epoch_loss,
-                              epochs_since_improvement=0)
+        return replace(state, best_loss=epoch_loss, epochs_since_improvement=0)
     count = state.epochs_since_improvement + 1
-    if count > patience:
-        return SchedulerState(current_lr=max(state.current_lr * factor, min_lr),
-                              best_loss=state.best_loss, epochs_since_improvement=0)
-    return SchedulerState(current_lr=state.current_lr, best_loss=state.best_loss,
-                          epochs_since_improvement=count)
+    if count > PLATEAU_PATIENCE:
+        lr = max(state.current_lr * PLATEAU_FACTOR, min_lr)
+        return replace(state, current_lr=lr, epochs_since_improvement=0)
+    return replace(state, epochs_since_improvement=count)

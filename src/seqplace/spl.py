@@ -256,10 +256,12 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
     rng = seeded_rng(config.seed)
     batch_size = count if config.batch_size == "all" else min(config.batch_size, count)
 
-    # the epochs, and only they, run with subnormals flushed (see nn)
-    with nn.denormals_flushed():
+    # the epochs, and only they, run with subnormals flushed (see nn) and no overflow
+    # warning: GATE_CLIP maps an infinite gate input as any past it, and a non-finite
+    # loss or gradient still raises NumericsError (the loss check, adam_step)
+    with nn.denormals_flushed(), np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = rng.permutation(count) if config.shuffle else np.arange(count)
+            order = rng.permutation(count)
             loss_sum = 0.0
             hits = 0
             for start in range(0, count, batch_size):
@@ -282,8 +284,7 @@ def train(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequence,
             history.loss.append(epoch_loss)
             history.accuracy.append(hits / count)
             history.lr.append(sched.current_lr)
-            sched = nn.plateau_step(sched, epoch_loss, config.scheduler_factor,
-                                    config.scheduler_patience, config.min_lr)
+            sched = nn.plateau_step(sched, epoch_loss, config.min_lr)
     return work, history
 
 
@@ -315,8 +316,10 @@ def score_rows(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequ
 def infer(model: SplModel, descriptors: DescriptorSequence,
           poses: PoseSequence) -> MatchScores:
     """The best place per query window by the scores of score_rows."""
-    return MatchScores.from_scores(score_rows(model, descriptors, poses),
-                                   model.config.num_places)
+    # overflow as in train: MatchScores raises NumericsError on a non-finite score
+    with np.errstate(over="ignore", invalid="ignore"):
+        return MatchScores.from_scores(score_rows(model, descriptors, poses),
+                                       model.config.num_places)
 
 
 # --- checkpoints --------------------------------------------------------------

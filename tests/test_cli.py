@@ -145,25 +145,22 @@ class TestTrain:
                 "--tw", "5", "--hidden", "16", "--lr", "0.004"]
         config = tmp_path / "train.cfg"
         # --lr overrides the file
-        config.write_text("epochs = 3\nseed = 5\nbatch_size = 7\nshuffle = false\n"
-                          "initial_lr = 0.5\n")
+        config.write_text("epochs = 3\nseed = 5\nbatch_size = 7\ninitial_lr = 0.5\n")
         by_flags, by_file = tmp_path / "flags.splm", tmp_path / "file.splm"
         assert run("train", *data, "--epochs", "3", "--seed", "5", "--batch", "7",
-                   "--no-shuffle", "--out", str(by_flags)) == EXIT_OK
+                   "--out", str(by_flags)) == EXIT_OK
         assert run("train", *data, "--config", str(config), "--out", str(by_file)) == EXIT_OK
         for suffix in ("", ".history.csv", ".config"):
             assert (tmp_path / f"file.splm{suffix}").read_bytes() == \
                 (tmp_path / f"flags.splm{suffix}").read_bytes()
         recorded = (tmp_path / "file.splm.config").read_text().splitlines()
-        assert {"seed = 5", "batch_size = 7", "shuffle = false",
-                "initial_lr = 0.004"} <= set(recorded)
+        assert {"seed = 5", "batch_size = 7", "initial_lr = 0.004"} <= set(recorded)
 
     def test_recorded_config_loads(self, synth_dir, tmp_path):
         # a .config as train wrote it before unknown keys were rejected
         recorded = ("variant = spl\ndescriptor_dim = 32\nnum_places = 115\ntw = 5\n"
                     "hidden_size = 16\npose_weight = 500.0\ninitial_lr = 0.004\n"
-                    "min_lr = 1e-06\nepochs = 3\nbatch_size = 9\nseed = 4\n"
-                    "scheduler_factor = 0.5\nscheduler_patience = 10\nshuffle = true\n")
+                    "min_lr = 1e-06\nepochs = 3\nbatch_size = 9\nseed = 4\n")
         data = ["--desc", str(synth_dir / "ref_descriptors.spld"),
                 "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5", "--hidden", "16"]
         by_flags = tmp_path / "flags.splm"
@@ -176,9 +173,10 @@ class TestTrain:
         assert (tmp_path / "file.splm.config").read_text() == recorded
 
     def test_unknown_config_key_writes_nothing(self, synth_dir, tmp_path, capsys):
-        # a misspelt key, and weight_decay, which no training field has
+        # a misspelt key, and settings that are constants now or were dropped
         config, out = tmp_path / "typo.config", tmp_path / "x.splm"
-        for line in ("epoch = 3", "weight_decay = 0.0"):
+        for line in ("epoch = 3", "weight_decay = 0.0", "shuffle = false",
+                     "scheduler_factor = 0.5", "scheduler_patience = 10"):
             config.write_text(line + "\n")
             code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
                        "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
@@ -189,16 +187,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_infinite_lr_rejected_up_front(self, synth_dir, tmp_path, route):
-        config, out = tmp_path / "inf.config", tmp_path / "x.splm"
-        config.write_text("initial_lr = inf\n")
-        given = ["--lr", "inf"] if route == "flag" else ["--config", str(config)]
-        code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
-                   "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
-                   "--epochs", "1", *given, "--out", str(out))
-        assert code == EXIT_USAGE
-        assert sorted(os.listdir(tmp_path)) == ["inf.config"]
+        # and so is a batch size that is neither an integer nor "all"
+        config, out = tmp_path / "bad.config", tmp_path / "x.splm"
+        cases = {"flag": [("--lr", "inf"), ("--batch", "most"), ("--batch", "7.5")],
+                 "config": [("initial_lr", "inf"), ("batch_size", "most")]}[route]
+        for key, value in cases:
+            config.write_text(f"{key} = {value}\n")
+            given = [key, value] if route == "flag" else ["--config", str(config)]
+            code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
+                       "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
+                       "--epochs", "1", *given, "--out", str(out))
+            assert code == EXIT_USAGE
+            assert sorted(os.listdir(tmp_path)) == ["bad.config"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exploding_lr_exits_numeric(self, synth_dir, tmp_path):
         code = run("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
                    "--poses", str(synth_dir / "ref_poses.csv"),
@@ -331,7 +332,6 @@ class TestInferAndEval:
             assert code == EXIT_USAGE
             assert not scores.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_checkpoint_exits_numeric(self, synth_dir, trained, tmp_path):
         # every value is finite, so the checkpoint loads, but the place-0
         # logit overflows and the softmax turns it into NaN
@@ -460,15 +460,15 @@ class TestParser:
         common = ("train", "--desc", str(synth_dir / "ref_descriptors.spld"),
                   "--poses", str(synth_dir / "ref_poses.csv"), "--tw", "5",
                   "--hidden", "8", "--epochs", "1")
-        assert run(*common, "--no-shuffle", "--out", str(tmp_path / "a.splm")) == EXIT_OK
+        assert run(*common, "--batch", "7", "--out", str(tmp_path / "a.splm")) == EXIT_OK
         assert run("synth", "--frames", "20", "--out", str(tmp_path / "s")) == EXIT_OK
         assert run(*common, "--out", str(tmp_path / "b.splm")) == EXIT_OK
         # the first call's flags neither reach another subcommand nor the second train
         synth_args = vars(cli.build_parser().parse_args(["synth", "--frames", "20", "--out", "s"]))
-        assert "shuffle" not in synth_args and "desc" not in synth_args
-        shuffles = [read_manifest(tmp_path / f"{name}.splm.manifest.json")["parameters"]
-                    ["train"]["shuffle"] for name in "ab"]
-        assert shuffles == [False, True]
+        assert "batch" not in synth_args and "desc" not in synth_args
+        batches = [read_manifest(tmp_path / f"{name}.splm.manifest.json")["parameters"]
+                   ["train"]["batch_size"] for name in "ab"]
+        assert batches == [7, "all"]
         with pytest.raises(SystemExit) as exc:
             run("eval", "--scores", str(tmp_path / "x.csv"))
         assert exc.value.code == EXIT_USAGE

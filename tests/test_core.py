@@ -96,10 +96,6 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(initial_lr=1e-7, min_lr=1e-6)
 
-    def test_factor_range(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(scheduler_factor=1.0)
-
     def test_batch_all(self):
         assert TrainConfig(batch_size="all").batch_size == "all"
         with pytest.raises(ValidationError):
@@ -371,9 +367,7 @@ class TestConfigFileRoundTrip:
 
     def test_train_config_awkward_floats(self, tmp_path):
         cfg = TrainConfig(initial_lr=0.0012345678901234567, min_lr=1e-6,
-                          epochs=2718, batch_size=37, seed=99,
-                          scheduler_factor=1.0 / 3.0, scheduler_patience=11,
-                          shuffle=False)
+                          epochs=2718, batch_size=37, seed=99)
         path = tmp_path / "train.cfg"
         write_config_file(path, dataclasses.asdict(cfg))
         assert train_config_from_mapping(read_config_file(path)) == cfg
@@ -387,9 +381,6 @@ class TestConfigFileRoundTrip:
                 epochs=int(rng.integers(1, 5000)),
                 batch_size="all" if rng.random() < 0.5 else int(rng.integers(1, 512)),
                 seed=int(rng.integers(0, 2 ** 31)),
-                scheduler_factor=float(rng.uniform(0.05, 0.95)),
-                scheduler_patience=int(rng.integers(1, 40)),
-                shuffle=bool(rng.random() < 0.5),
             )
             path = tmp_path / f"cfg{trial}"
             write_config_file(path, dataclasses.asdict(cfg))
@@ -404,10 +395,10 @@ class TestConfigFileRoundTrip:
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("# header\n\nepochs = 10  # customary default\nshuffle = false\n"
+        path.write_text("# header\n\nepochs = 10  # customary default\nseed = 3\n"
                         "variant = spl\n")
         cfg = train_config_from_mapping(read_config_file(path))
-        assert cfg.epochs == 10 and cfg.shuffle is False
+        assert cfg.epochs == 10 and cfg.seed == 3
 
     def test_unknown_key_rejected(self):
         for key in ("epoch", "Epochs", "learning_rate", "weight-decay", "weight_decay", ""):

@@ -308,24 +308,27 @@ class TestPlateauScheduler:
     def test_improving_losses_keep_lr(self):
         state = nn.SchedulerState(current_lr=1e-3)
         for loss in np.linspace(5.0, 1.0, 40):
-            state = nn.plateau_step(state, float(loss), 0.5, 10, 1e-6)
+            state = nn.plateau_step(state, float(loss), 1e-6)
         assert state.current_lr == 1e-3
 
     def test_constant_loss_halves_every_patience_plus_one(self):
+        period = nn.PLATEAU_PATIENCE + 1
         state = nn.SchedulerState(current_lr=1e-3)
         lrs = []
-        for _ in range(40):
-            state = nn.plateau_step(state, 1.0, 0.5, 2, 1e-6)
+        for _ in range(12 * period):
+            state = nn.plateau_step(state, 1.0, 1e-6)
             lrs.append(state.current_lr)
-        # first decay after epoch 4, then every 3 epochs, clamped at 1e-6
+        # the first loss improves on inf; the rate then decays after every
+        # patience + 1 stagnant epochs, clamped at 1e-6
         changes = [i for i in range(1, len(lrs)) if lrs[i] != lrs[i - 1]]
-        assert changes[:4] == [3, 6, 9, 12]
+        assert changes[:4] == [period, 2 * period, 3 * period, 4 * period]
+        assert lrs[period] == 1e-3 * nn.PLATEAU_FACTOR
         assert lrs[-1] == 1e-6
 
     def test_clamped_at_min_lr(self):
         state = nn.SchedulerState(current_lr=1e-6)
-        for _ in range(20):
-            state = nn.plateau_step(state, 1.0, 0.5, 2, 1e-6)
+        for _ in range(3 * (nn.PLATEAU_PATIENCE + 1)):
+            state = nn.plateau_step(state, 1.0, 1e-6)
         assert state.current_lr == 1e-6
 
     def test_lr_never_increases_on_random_losses(self):
@@ -333,7 +336,7 @@ class TestPlateauScheduler:
         state = nn.SchedulerState(current_lr=1e-3)
         last = state.current_lr
         for _ in range(200):
-            state = nn.plateau_step(state, float(rng.uniform(0, 5)), 0.5, 3, 1e-6)
+            state = nn.plateau_step(state, float(rng.uniform(0, 5)), 1e-6)
             assert state.current_lr <= last
             assert state.current_lr >= 1e-6
             last = state.current_lr

@@ -280,19 +280,6 @@ class TestTrain:
                                TrainConfig(epochs=50, seed=seed, batch_size=16))
             assert history.loss[49] <= 0.5 * history.loss[0]
 
-    def test_shuffle_toggle_changes_little(self):
-        env = synth_traverse(100, 24, seed=31, smoothness=0.7)
-        cfg = ModelConfig.for_traversal(100, 5, variant="spl", descriptor_dim=24,
-                                        hidden_size=48)
-        accs = []
-        for shuffle in (True, False):
-            model = build_model(cfg, seed=32)
-            _, history = train(model, env.descriptors, env.poses,
-                               TrainConfig(epochs=400, seed=33, batch_size=16,
-                                           shuffle=shuffle))
-            accs.append(history.accuracy[-1])
-        assert abs(accs[0] - accs[1]) <= 0.02
-
     def test_saturated_training_stays_off_subnormals(self, monkeypatch):
         # pose weight 500 saturates the gates; products of saturated gates
         # must not reach the float32 subnormal range: flush_tiny zeroes h and
@@ -358,9 +345,11 @@ class TestTrain:
                                         hidden_size=8)
         model = build_model(cfg, seed=42)
         _, history = train(model, env.descriptors, env.poses,
-                           TrainConfig(epochs=60, seed=43, scheduler_patience=3))
+                           TrainConfig(epochs=300, seed=43, initial_lr=0.03))
+        # at this rate the loss stalls long enough for the plateau rule to act
         lrs = history.lr
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+        assert lrs[-1] < lrs[0]
 
 
 @pytest.fixture(scope="module")
