@@ -4,6 +4,9 @@ delta descriptors, and single-frame matching."""
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,30 @@ def _aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
+def _in_parts(n: int, fn) -> None:
+    """fn(lo, hi) over contiguous parts of range(n), one per CPU the process
+    may run on (os.sched_getaffinity, else os.cpu_count) and never more
+    parts than items. The calling thread runs the first part and a thread
+    pool, closed before this returns, the others; with one part no thread
+    starts. numpy releases the GIL inside its loops, so the parts run at
+    once; off the calling thread fn calls numpy only, in a copy of the
+    caller's context, so numpy's error state is the caller's. An exception
+    raised in any part is re-raised here after every part has stopped."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    parts = max(1, min(cpus, n))
+    if parts == 1:
+        fn(0, n)
+        return
+    bounds = [n * k // parts for k in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:
+        others = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+                  for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        fn(bounds[0], bounds[1])
+    for part in others:
+        part.result()
+
+
 def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
                       metric: str = "cosine") -> np.ndarray:
     """D[i, j] = distance between reference frame i and query frame j, as a
@@ -83,19 +110,24 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
     if metric == "sad":
         n_ref = ref.n_frames
         matrix = np.empty((b.shape[0], n_ref))
-        # a block of reference rows, widened exactly to float64, stays in
-        # cache while every query row streams past it; |ref - q| is |q - ref|
-        # bit for bit, and each distance is numpy's sum over one row
-        widened = np.empty((min(block, n_ref), b.shape[1]))
-        diff = _aligned_empty(widened.shape)
-        for i0 in range(0, n_ref, block):
-            i1 = min(i0 + block, n_ref)
-            rows, d = widened[:i1 - i0], diff[:i1 - i0]
-            rows[...] = ref.data[i0:i1]
-            for j, q in enumerate(b):
-                np.subtract(rows, q, out=d)
-                np.abs(d, out=d)
-                d.sum(axis=1, out=matrix[j, i0:i1])
+
+        def sad(lo, hi):
+            # a block of reference rows, widened exactly to float64, stays in
+            # cache while each of this part's query rows streams past it;
+            # |ref - q| is |q - ref| bit for bit, and each distance is numpy's
+            # sum over one row
+            widened = np.empty((min(block, n_ref), b.shape[1]))
+            diff = _aligned_empty(widened.shape)
+            for i0 in range(0, n_ref, block):
+                i1 = min(i0 + block, n_ref)
+                rows, d = widened[:i1 - i0], diff[:i1 - i0]
+                rows[...] = ref.data[i0:i1]
+                for j in range(lo, hi):
+                    np.subtract(rows, b[j], out=d)
+                    np.abs(d, out=d)
+                    d.sum(axis=1, out=matrix[j, i0:i1])
+
+        _in_parts(b.shape[0], sad)
         return matrix.T
     a = ref.data.astype(np.float64)
     for name, rows in (("reference", a), ("query", b)):
@@ -139,23 +171,28 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     spans = ((slice(0, a), slice(0, 1)), (slice(a, b), slice(a - half, b - half)),
              (slice(b, n_rows), slice(n_rows - w, n_rows - w + 1)))
     block = max(1, BLOCK_BYTES // (8 * n_rows))
-    s = np.zeros((min(block, n_cols), n_rows + 1))
-    s2 = np.zeros_like(s)
-    for j0 in range(0, n_cols, block):
-        # per-column offset keeps the cumulative sums well conditioned (the
-        # normalization is shift-invariant, and constant columns become exact);
-        # copied, as the subtraction overwrites it
-        shifted = out[j0:j0 + block]
-        shifted -= shifted[:, :1].copy()
-        c, c2 = s[:shifted.shape[0]], s2[:shifted.shape[0]]
-        np.cumsum(shifted, axis=1, out=c[:, 1:])
-        np.cumsum(shifted * shifted, axis=1, out=c2[:, 1:])
-        mean = (c[:, w:] - c[:, :n_rows - w + 1]) / w
-        var = np.maximum((c2[:, w:] - c2[:, :n_rows - w + 1]) / w - mean * mean, 0.0)
-        scale = np.sqrt(var) + ENHANCE_EPS
-        for rows, windows in spans:
-            shifted[:, rows] -= mean[:, windows]
-            shifted[:, rows] /= scale[:, windows]
+
+    def enhance(lo, hi):
+        s = np.zeros((min(block, hi - lo), n_rows + 1))
+        s2 = np.zeros_like(s)
+        for j0 in range(lo, hi, block):
+            # per-column offset keeps the cumulative sums well conditioned (the
+            # normalization is shift-invariant, and constant columns become
+            # exact); copied, as the subtraction overwrites it
+            shifted = out[j0:min(j0 + block, hi)]
+            shifted -= shifted[:, :1].copy()
+            c, c2 = s[:shifted.shape[0]], s2[:shifted.shape[0]]
+            np.cumsum(shifted, axis=1, out=c[:, 1:])
+            np.cumsum(shifted * shifted, axis=1, out=c2[:, 1:])
+            mean = (c[:, w:] - c[:, :n_rows - w + 1]) / w
+            var = np.maximum((c2[:, w:] - c2[:, :n_rows - w + 1]) / w - mean * mean, 0.0)
+            scale = np.sqrt(var) + ENHANCE_EPS
+            for rows, windows in spans:
+                shifted[:, rows] -= mean[:, windows]
+                shifted[:, rows] /= scale[:, windows]
+
+    # each part normalizes its own query rows with its own sums
+    _in_parts(n_cols, enhance)
     return out.T
 
 

@@ -1,7 +1,8 @@
 """Command-line entry point wiring ingestion, training, matching,
 evaluation, and benchmarking into reproducible runs.
 
-Exit codes: 0 success, 1 usage/validation error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/validation error (or out of memory), 2
+numerical failure.
 Every command validates its inputs before writing anything and emits a
 <out>.manifest.json recording the resolved configuration, input digests,
 seed, and wall-clock bounds.
@@ -378,6 +379,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # also one raised in a worker thread of a classic stage; atomic
+        # writes leave nothing behind
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

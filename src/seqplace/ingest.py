@@ -37,6 +37,8 @@ from .core import (
 DESC_MAGIC = b"SPLD"
 DESC_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+# a slower speed asks for more than 100 query frames per reference frame
+MIN_WARP_SPEED = 0.01
 
 
 # --- CSV tables ----------------------------------------------------------------
@@ -317,8 +319,9 @@ def _warp_positions(n_ref: int, speed_warp) -> np.ndarray:
         speeds = np.atleast_1d(np.asarray(speed_warp, dtype=np.float64))
     if speeds.size == 0:
         raise ValidationError("speed warp needs at least one speed")
-    if (speeds <= 0.0).any():
-        raise ValidationError("speed warp values must be positive")
+    if (speeds < MIN_WARP_SPEED).any():
+        raise ValidationError(f"speed warp values must be at least {MIN_WARP_SPEED}, "
+                              f"got {speeds.min():g}")
     positions = []
     s = 0.0
     limit = float(n_ref - 1)

@@ -34,8 +34,8 @@ from .core import NumericsError, ValidationError
 # the calling thread only, and BLAS worker threads keep their own: a 512x512
 # by 512x2048 GEMM of ~1e-20 operands took 1645 ms without the mode and 15 ms
 # in it on one BLAS thread, 855 and 917 ms on two, so with more threads
-# flush_tiny is the GEMMs' only guard. Inference stays outside the mode: it
-# gave the same bytes, and a gain that no benchmark pair has confirmed yet.
+# flush_tiny is the GEMMs' only guard. spl.infer runs in the mode too, where
+# the env cell's f * c_prev and o * tanh(c) made subnormals; same bytes.
 GATE_CLIP = 60.0
 
 

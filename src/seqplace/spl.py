@@ -316,8 +316,9 @@ def score_rows(model: SplModel, descriptors: DescriptorSequence, poses: PoseSequ
 def infer(model: SplModel, descriptors: DescriptorSequence,
           poses: PoseSequence) -> MatchScores:
     """The best place per query window by the scores of score_rows."""
-    # overflow as in train: MatchScores raises NumericsError on a non-finite score
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow as in train: MatchScores raises NumericsError on a non-finite
+    # score; the flush mode as in train, for the env cell's subnormal products
+    with nn.denormals_flushed(), np.errstate(over="ignore", invalid="ignore"):
         return MatchScores.from_scores(score_rows(model, descriptors, poses),
                                        model.config.num_places)
 

@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from oracles import (delta_brute, enhance_brute, enhance_whole, sad_brute, sad_rowloop,
                      score_matrix, seqslam_scores_brute, traced_peak)
-from seqplace import classic, core
+from seqplace import classic, cli, core
 from seqplace.classic import (
     SeqSlamConfig,
     contrast_enhance,
@@ -16,6 +21,12 @@ from seqplace.classic import (
     velocity_grid,
 )
 from seqplace.core import DescriptorSequence, ValidationError, seeded_rng
+from seqplace.ingest import save_descriptors
+
+
+def cpus(monkeypatch, n):
+    """Show the classic stages n CPUs in the process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def unit_rows(rng, n, dim):
@@ -453,20 +464,24 @@ class TestInputsAndMemory:
             assert np.array_equal(got.predicted, want.predicted)
             assert np.array_equal(got.confidence, want.confidence)
 
-    def test_allocations_bounded_by_outputs(self):
+    # the per-query stages keep one set of block buffers per part, so each
+    # bound below states its block term per part, at one part and at two
+    def test_allocations_bounded_by_outputs(self, monkeypatch):
         # for seqslam, one copy of the C matrix, which enhancement and the
         # line search both work in, and block buffers; for pairwise, only
         # block-sized work buffers: no N x Q copy
         rng = seeded_rng(19)
         matrix = rng.uniform(0, 4, (2000, 500))
-        for run, bound in (
-            (lambda: seqslam_match(contrast_enhance(matrix, 10), SeqSlamConfig()),
-             matrix.nbytes + 8 * classic.BLOCK_BYTES),
-            (lambda: pairwise_match(matrix), 0),
-        ):
-            assert traced_peak(run) <= bound + (1 << 20)
+        for parts in (1, 2):
+            cpus(monkeypatch, parts)
+            for run, bound in (
+                (lambda: seqslam_match(contrast_enhance(matrix, 10), SeqSlamConfig()),
+                 matrix.nbytes + parts * 8 * classic.BLOCK_BYTES),
+                (lambda: pairwise_match(matrix), 0),
+            ):
+                assert traced_peak(run) <= bound + (1 << 20), parts
 
-    def test_seqslam_pipeline_holds_one_matrix(self):
+    def test_seqslam_pipeline_holds_one_matrix(self, monkeypatch):
         # SAD's N x Q matrix, its float64 query copy and block buffers (SAD's
         # two, enhancement's sums and temporaries, the line search's work,
         # prefix and minimum buffers): enhancement and the line search work
@@ -474,29 +489,37 @@ class TestInputsAndMemory:
         rng = seeded_rng(26)
         ref = DescriptorSequence(data=rng.standard_normal((2000, 64)).astype(np.float32))
         query = DescriptorSequence(data=rng.standard_normal((300, 64)).astype(np.float32))
-        peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig()))
-        assert peak <= 8 * (2000 * 300 + 300 * 64) + 8 * classic.BLOCK_BYTES + (1 << 20)
+        for parts in (1, 2):
+            cpus(monkeypatch, parts)
+            peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig()))
+            assert peak <= 8 * (2000 * 300 + 300 * 64) + parts * 8 * classic.BLOCK_BYTES \
+                + (1 << 20), parts
 
-    def test_cosine_seqslam_pipeline_holds_two_matrices(self):
+    def test_cosine_seqslam_pipeline_holds_two_matrices(self, monkeypatch):
         # cosine's C (N, Q) matrix, the enhanced copy the line search then
         # works in, the float64 descriptor copies and block buffers: no third
         # N x Q matrix (8 MB here)
         rng = seeded_rng(27)
         ref = DescriptorSequence(data=rng.standard_normal((2000, 64)).astype(np.float32))
         query = DescriptorSequence(data=rng.standard_normal((500, 64)).astype(np.float32))
-        peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig(),
-                                                 metric="cosine"))
-        assert peak <= 8 * (2 * 2000 * 500 + 2000 * 64 + 500 * 64) + 8 * classic.BLOCK_BYTES \
-            + (1 << 20)
+        for parts in (1, 2):
+            cpus(monkeypatch, parts)
+            peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig(),
+                                                     metric="cosine"))
+            assert peak <= 8 * (2 * 2000 * 500 + 2000 * 64 + 500 * 64) \
+                + parts * 8 * classic.BLOCK_BYTES + (1 << 20), parts
 
-    def test_sad_allocations_bounded_by_query_copy_and_output(self):
-        # the output, the float64 query copy and two block buffers: no
-        # float64 copy of the reference map (8 MB here)
+    def test_sad_allocations_bounded_by_query_copy_and_output(self, monkeypatch):
+        # the output, the float64 query copy and two block buffers per part:
+        # no float64 copy of the reference map (8 MB here)
         rng = seeded_rng(24)
         ref = DescriptorSequence(data=rng.standard_normal((2000, 512)).astype(np.float32))
         query = DescriptorSequence(data=rng.standard_normal((100, 512)).astype(np.float32))
-        peak = traced_peak(lambda: similarity_matrix(ref, query, metric="sad"))
-        assert peak <= 8 * (2000 * 100 + 100 * 512) + 2 * classic.BLOCK_BYTES + (1 << 20)
+        for parts in (1, 2):
+            cpus(monkeypatch, parts)
+            peak = traced_peak(lambda: similarity_matrix(ref, query, metric="sad"))
+            assert peak <= 8 * (2000 * 100 + 100 * 512) + parts * 2 * classic.BLOCK_BYTES \
+                + (1 << 20), parts
 
     def test_cosine_allocations_bounded_by_copies_and_output(self):
         # the float64 copies of both inputs and the output matrix, plus
@@ -506,3 +529,125 @@ class TestInputsAndMemory:
         query = DescriptorSequence(data=rng.standard_normal((100, 512)).astype(np.float32))
         peak = traced_peak(lambda: similarity_matrix(ref, query, metric="cosine"))
         assert peak <= 8 * (2000 * 512 + 100 * 512 + 2000 * 100) + (1 << 20)
+
+
+class TestParts:
+    """SAD and contrast enhancement split their query rows over the CPUs of
+    the affinity mask; the line search and everything after it stay serial."""
+
+    @pytest.mark.parametrize("n_cpus", [2, 3, 7])
+    @pytest.mark.parametrize("n_ref, n_query, block_bytes", [(300, 40, 8 * 16 * 7),
+                                                             (20, 5, None)],
+                             ids=["many-blocks", "one-block-fewer-queries-than-cpus"])
+    def test_stages_equal_one_part(self, monkeypatch, n_cpus, n_ref, n_query, block_bytes):
+        # blocks of 7 reference rows and of one query row for SAD and
+        # enhancement, so every part runs many; or one block of 5 queries,
+        # which 7 CPUs split into 5 parts of one query each
+        if block_bytes is not None:
+            monkeypatch.setattr(classic, "BLOCK_BYTES", block_bytes)
+        rng = seeded_rng(41)
+        ref = DescriptorSequence(data=rng.standard_normal((n_ref, 16)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((n_query, 16)).astype(np.float32))
+        cfg = SeqSlamConfig(ds=3, r_window=6)
+
+        def stages():
+            sad = similarity_matrix(ref, query, metric="sad")
+            return (sad.copy(order="A"), contrast_enhance(sad, cfg.r_window),
+                    classic.match("seqslam", ref, query, cfg))
+
+        cpus(monkeypatch, 1)
+        want = stages()
+        cpus(monkeypatch, n_cpus)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the parts' Python steps interleave finely
+        try:
+            got = stages()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2].predicted, want[2].predicted)
+        assert np.array_equal(got[2].confidence, want[2].confidence)
+
+    def test_match_csv_equals_one_part(self, monkeypatch, tmp_path):
+        rng = seeded_rng(42)
+        for name, n in (("ref", 90), ("query", 60)):
+            save_descriptors(tmp_path / f"{name}.spld", DescriptorSequence(
+                data=rng.standard_normal((n, 24)).astype(np.float32)))
+        csv = {}
+        for n_cpus in (1, 2, 3, 7):
+            cpus(monkeypatch, n_cpus)
+            out = tmp_path / f"scores{n_cpus}.csv"
+            assert cli.main(["match", "--ref", str(tmp_path / "ref.spld"),
+                             "--query", str(tmp_path / "query.spld"),
+                             "--method", "seqslam", "--out", str(out)]) == cli.EXIT_OK
+            csv[n_cpus] = out.read_bytes()
+        assert csv[2] == csv[1] and csv[3] == csv[1] and csv[7] == csv[1]
+
+    @pytest.mark.parametrize("n_cpus, n", [(1, 9), (2, 9), (3, 7), (7, 3), (4, 1), (3, 0)])
+    def test_parts_cover_the_items_once(self, monkeypatch, n_cpus, n):
+        # one part per CPU and never more than items, contiguous and within
+        # one item of each other in size; the caller's thread runs the first
+        cpus(monkeypatch, n_cpus)
+        seen = []
+        threads = threading.active_count()
+        classic._in_parts(n, lambda lo, hi: seen.append((lo, hi, threading.get_ident())))
+        assert threading.active_count() == threads
+        seen.sort()
+        assert len(seen) == max(1, min(n_cpus, n))
+        assert seen[0][0] == 0 and seen[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
+        assert max(hi - lo for lo, hi, _ in seen) - min(hi - lo for lo, hi, _ in seen) <= 1
+        assert seen[0][2] == threading.get_ident()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        cpus(monkeypatch, 1)
+        monkeypatch.setattr(classic, "ThreadPoolExecutor", no_pool)
+        rng = seeded_rng(43)
+        ref = DescriptorSequence(data=rng.standard_normal((50, 8)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((30, 8)).astype(np.float32))
+        classic.match("seqslam", ref, query, SeqSlamConfig(ds=3))
+
+    @pytest.mark.parametrize("cpu_count, parts", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity_call(self, monkeypatch, cpu_count, parts):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        seen = []
+        classic._in_parts(10, lambda lo, hi: seen.append(lo))
+        assert len(seen) == parts
+
+    @pytest.mark.parametrize("failing", [0, 3])
+    def test_a_failing_part_raises_after_every_part_stopped(self, monkeypatch, failing):
+        # the caller's part (0) or a worker's (3) raises at once while the
+        # last part (6) is still running; the error reaches the caller only
+        # after that part has finished
+        cpus(monkeypatch, 3)
+        finished = []
+
+        def part(lo, hi):
+            if lo == failing:
+                raise ValueError(f"part {lo}")
+            if lo == 6:
+                time.sleep(0.05)
+            finished.append(lo)
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"part {failing}"):
+            classic._in_parts(9, part)
+        assert 6 in finished
+        assert threading.active_count() == threads
+
+    def test_parts_keep_the_callers_numpy_error_state(self, monkeypatch):
+        # an infinite entry in the last query's column makes inf - inf in
+        # the part that enhances it, a worker's; the caller asked numpy to
+        # raise on that, not to warn
+        cpus(monkeypatch, 2)
+        matrix = np.ones((12, 6))
+        matrix[3, 5] = np.inf
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            contrast_enhance(matrix, 4)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,16 @@ class TestSynth:
         out = tmp_path / "out"
         code = run("synth", "--frames", "30", "--dim", "8", *noise, "--out", str(out))
         assert code == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("warp", ["1e-300", "1.0,0.005"])
+    def test_speed_below_the_floor_rejected(self, tmp_path, capsys, warp):
+        # 1e-300 would ask for about 1e301 query frames; the floor refuses it
+        # before any position is made
+        out = tmp_path / "out"
+        code = run("synth", "--frames", "30", "--dim", "8", "--warp", warp, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "speed warp values must be at least 0.01" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pose_noise_alone_makes_a_query(self, tmp_path):
@@ -395,6 +406,26 @@ class TestMatch:
         assert code == EXIT_NUMERIC
         assert "non-finite distance at query 5, place 3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_allocation_failure_in_a_worker_exits_cleanly(self, synth_dir, tmp_path,
+                                                           monkeypatch, capsys):
+        # SAD's scratch buffer fails only in a worker part; the caller
+        # reports it without a traceback and writes nothing
+        def fail_off_the_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("scratch buffer")
+            return aligned_empty(*args, **kwargs)
+
+        aligned_empty = classic._aligned_empty
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(classic, "_aligned_empty", fail_off_the_main_thread)
+        code = run("match", "--ref", str(synth_dir / "ref_descriptors.spld"),
+                   "--query", str(synth_dir / "query_descriptors.spld"),
+                   "--method", "seqslam", "--out", str(tmp_path / "scores.csv"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "error: out of memory: scratch buffer" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_dim_mismatch_is_usage_error(self, synth_dir, tmp_path):
         other = tmp_path / "other"

@@ -412,6 +412,30 @@ class TestInfer:
             tracemalloc.stop()
         assert peak < 8 * count * n_places
 
+    def test_recurrence_runs_in_the_flush_mode(self, trained_small, monkeypatch):
+        # the mode is on inside the recurrence, so a subnormal product reads 0
+        # there, and off after infer returns or raises NumericsError
+        env, model, _ = trained_small
+        inside = []
+        gates, softmax = nn.lstm_apply_gates, nn.softmax
+
+        def probed_gates(*args):
+            inside.append(subnormal_probe())
+            return gates(*args)
+
+        monkeypatch.setattr(nn, "lstm_apply_gates", probed_gates)
+        infer(model, env.descriptors, env.poses)
+        assert subnormal_mask(subnormal_probe())
+        monkeypatch.setattr(nn, "softmax", lambda z: np.full_like(softmax(z), np.nan))
+        with pytest.raises(NumericsError):
+            infer(model, env.descriptors, env.poses)
+        assert subnormal_mask(subnormal_probe())
+        assert inside
+        if FLUSH_MODE_AVAILABLE:
+            assert not subnormal_mask(np.array(inside)).any()
+        else:
+            assert subnormal_mask(np.array(inside)).all()
+
     def test_query_shorter_than_tw_rejected(self, trained_small):
         env, model, _ = trained_small
         short = DescriptorSequence(data=env.descriptors.data[:3])
