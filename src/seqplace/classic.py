@@ -16,6 +16,10 @@ from .core import BLOCK_BYTES, DescriptorSequence, MatchScores, Rescaled, Valida
 METRICS = ("sad", "cosine")
 DEFAULT_METRIC = {"seqslam": "sad", "pairwise": "cosine", "delta": "cosine"}
 ENHANCE_EPS = 1e-9
+# cosine multiplies the reference in blocks of this many rows; at a given BLAS
+# thread count a distance's last bits depend on this count alone, not on N
+# or on the CPUs
+COSINE_ROWS = 256
 # each velocity costs the line search ds passes over the whole matrix, so a
 # grid this long (the default has 5) is a mistyped range, not a search
 MAX_VELOCITIES = 1000
@@ -74,10 +78,11 @@ def _in_parts(n: int, fn) -> None:
     may run on (os.sched_getaffinity, else os.cpu_count) and never more
     parts than items. The calling thread runs the first part and a thread
     pool, closed before this returns, the others; with one part no thread
-    starts. numpy releases the GIL inside its loops, so the parts run at
-    once; off the calling thread fn calls numpy only, in a copy of the
-    caller's context, so numpy's error state is the caller's. An exception
-    raised in any part is re-raised here after every part has stopped."""
+    starts. numpy releases the GIL inside its loops and BLAS calls, so the
+    parts run at once; off the calling thread fn calls numpy (and through it
+    BLAS) only, in a copy of the caller's context, so numpy's error state is
+    the caller's. An exception raised in any part is re-raised here after
+    every part has stopped (the lowest part's, if several raise)."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
     parts = max(1, min(cpus, n))
@@ -97,8 +102,8 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
                       metric: str = "cosine") -> np.ndarray:
     """D[i, j] = distance between reference frame i and query frame j, as a
     float64 (N, Q) array: SAD gives the transpose of a C-contiguous (Q, N)
-    array, so each query's distances are contiguous, and cosine a C array.
-    Finite float32 descriptors give finite, non-negative distances."""
+    array, so each query's distances are contiguous, and cosine a C array
+    made COSINE_ROWS reference rows at a time. Finite float32 descriptors give finite, non-negative distances."""
     if metric not in METRICS:
         raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
     if ref.dim != query.dim:
@@ -106,9 +111,9 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
             f"descriptor dims differ: reference {ref.dim}, query {query.dim}"
         )
     b = query.data.astype(np.float64)
+    n_ref = ref.n_frames
     block = max(1, BLOCK_BYTES // (8 * b.shape[1]))  # rows
     if metric == "sad":
-        n_ref = ref.n_frames
         matrix = np.empty((b.shape[0], n_ref))
 
         def sad(lo, hi):
@@ -129,18 +134,47 @@ def similarity_matrix(ref: DescriptorSequence, query: DescriptorSequence,
 
         _in_parts(b.shape[0], sad)
         return matrix.T
-    a = ref.data.astype(np.float64)
-    for name, rows in (("reference", a), ("query", b)):
-        # row blocks keep norm's squared copy small; each row's sum is unchanged
-        norms = np.concatenate([np.linalg.norm(rows[i:i + block], axis=1)
-                                for i in range(0, rows.shape[0], block)])
-        if (norms == 0).any():
-            raise ValidationError(f"zero-norm descriptor at {name} frame "
-                                  f"{int(np.argmax(norms == 0))}: cosine undefined")
-        rows /= norms[:, None]  # a and b are this function's own float64 copies
-    matrix = a @ b.T
-    np.clip(np.subtract(1.0, matrix, out=matrix), 0.0, 2.0, out=matrix)
+    norms = _row_norms(b, block)
+    if (norms == 0).any():
+        # the reference is named first; a widened float32 row's norm is zero
+        # just when every entry is, so its norms need not be taken here
+        zero = ~ref.data.any(axis=1)
+        name, zero = ("reference", zero) if zero.any() else ("query", norms == 0)
+        raise _zero_norm(name, int(np.argmax(zero)))
+    b /= norms[:, None]  # this function's own float64 copy
+    rows = COSINE_ROWS
+    matrix = np.empty((n_ref, b.shape[0]))
+
+    def cosine(lo, hi):
+        # reference blocks lo..hi-1, each widened, normalized and multiplied
+        # alone into its own output rows
+        widened = np.empty((min(rows, n_ref), b.shape[1]))
+        for i0 in range(lo * rows, min(hi * rows, n_ref), rows):
+            i1 = min(i0 + rows, n_ref)
+            a, out = widened[:i1 - i0], matrix[i0:i1]
+            a[...] = ref.data[i0:i1]
+            norms = _row_norms(a, block)
+            if (norms == 0).any():
+                raise _zero_norm("reference", i0 + int(np.argmax(norms == 0)))
+            a /= norms[:, None]
+            np.matmul(a, b.T, out=out)
+            np.clip(np.subtract(1.0, out, out=out), 0.0, 2.0, out=out)
+
+    # a part stops at its first zero-norm block, and the lowest part's error
+    # is raised, so the lowest zero-norm frame is named
+    _in_parts(-(-n_ref // rows), cosine)
     return matrix
+
+
+def _row_norms(rows, block) -> np.ndarray:
+    """Each row's L2 norm, taken over groups of block rows so that norm's
+    squared copy stays small; each row's sum is the same either way."""
+    return np.concatenate([np.linalg.norm(rows[i:i + block], axis=1)
+                           for i in range(0, rows.shape[0], block)])
+
+
+def _zero_norm(name, frame) -> ValidationError:
+    return ValidationError(f"zero-norm descriptor at {name} frame {frame}: cosine undefined")
 
 
 def _query_major(matrix) -> np.ndarray:
@@ -162,6 +196,8 @@ def contrast_enhance(matrix, r_window: int) -> np.ndarray:
     out = _query_major(matrix)
     r_window = int(r_window)
     n_cols, n_rows = out.shape
+    if n_rows == 0:
+        raise ValidationError("matrix has no rows to enhance")
     w = min(r_window, n_rows)
     # row i is normalized over the window starting at clip(i - r_window // 2,
     # 0, n_rows - w): rows [0, a) take the first window, rows [a, b) window
@@ -300,17 +336,31 @@ def delta_descriptors(desc: DescriptorSequence, w: int) -> DescriptorSequence:
     n = desc.n_frames
     if n <= 2 * w:
         raise ValidationError(f"need more than 2w={2 * w} frames, got {n}")
-    data = desc.data.astype(np.float64)
-    sums = np.zeros((n + 1, desc.dim))
-    np.cumsum(data, axis=0, out=sums[1:])
-    # valid range: both half-windows fit, t in [w, n-w]
-    t = np.arange(w, n - w + 1)
-    delta = (sums[t + w] - sums[t]) / w - (sums[t] - sums[t - w]) / w
-    norms = np.linalg.norm(delta, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    delta /= norms
-    out = np.pad(delta, ((w, w - 1), (0, 0)), mode="edge")
-    return DescriptorSequence(data=out.astype(np.float32))
+    dim = desc.dim
+    block = max(1, BLOCK_BYTES // (8 * dim))  # frames t per block
+    # c[k] = S[t0 - w + k], S[k] the sum of frames 0..k-1. A block's cumsum
+    # starts from the running total S[t0 - w], so every sum is added as in
+    # one whole cumsum; S[1] = 0 + frame 0 may only flip a zero's sign, and
+    # no delta keeps that sign
+    sums = np.zeros((block + 2 * w, dim))
+    out = np.empty((n, dim), np.float32)
+    for t0 in range(w, n - w + 1, block):
+        t1 = min(t0 + block, n - w + 1)
+        c = sums[:t1 - t0 + 2 * w]
+        c[1:] = desc.data[t0 - w:t1 + w - 1]
+        np.cumsum(c, axis=0, out=c)
+        ahead, mid, behind = c[2 * w:], c[w:t1 - t0 + w], c[:t1 - t0]
+        delta = (ahead - mid) / w - (mid - behind) / w
+        norms = np.linalg.norm(delta, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        delta /= norms
+        out[t0:t1] = delta
+        sums[0] = c[t1 - t0]  # S[t1 - w], the next block's running total
+    # frames without a full half-window on each side copy the nearest delta
+    out[:w] = out[w]
+    out[n - w + 1:] = out[n - w]
+    out.flags.writeable = False  # so DescriptorSequence keeps it uncopied
+    return DescriptorSequence(data=out)
 
 
 def match(method: str, ref: DescriptorSequence, query: DescriptorSequence,

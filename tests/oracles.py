@@ -225,6 +225,43 @@ def seqslam_scores_brute(enhanced, ds, velocities):
     return scores
 
 
+def cosine_blocked(ref, query, rows):
+    """Cosine distances formed as the library forms them: the query widened
+    to float64 and divided by its row norms once, then each block of `rows`
+    reference rows widened, divided by its row norms and multiplied by the
+    query on its own, and 1 - x clipped to [0, 2]. BLAS may sum a product's
+    terms in an order that follows the operands' shapes, so a distance's
+    bits follow the block's row count; this states that count exactly."""
+    b = np.asarray(query, dtype=np.float64)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    blocks = []
+    for i in range(0, len(ref), rows):
+        a = np.asarray(ref[i:i + rows], dtype=np.float64)
+        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        blocks.append(np.clip(1.0 - a @ b.T, 0.0, 2.0))
+    return np.vstack(blocks)
+
+
+def delta_whole(data, w):
+    """Delta descriptors over the whole map at once, as float32: one float64
+    cumulative sum of every frame, the rolling-mean difference at every
+    frame with a full half-window on each side, each row L2-normalized (zero
+    rows stay zero), and the edge rows padded from the nearest valid one.
+    Every sum is added in the order of the library's frame-blocked loop,
+    whose blocks restart from the running total, so this is its exact
+    reference."""
+    data = np.asarray(data, dtype=np.float32).astype(np.float64)
+    n = data.shape[0]
+    sums = np.zeros((n + 1, data.shape[1]))
+    np.cumsum(data, axis=0, out=sums[1:])
+    t = np.arange(w, n - w + 1)
+    delta = (sums[t + w] - sums[t]) / w - (sums[t] - sums[t - w]) / w
+    norms = np.linalg.norm(delta, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    delta /= norms
+    return np.pad(delta, ((w, w - 1), (0, 0)), mode="edge").astype(np.float32)
+
+
 def delta_brute(data, w):
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]

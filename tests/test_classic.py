@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (delta_brute, enhance_brute, enhance_whole, sad_brute, sad_rowloop,
-                     score_matrix, seqslam_scores_brute, traced_peak)
+from oracles import (cosine_blocked, delta_brute, delta_whole, enhance_brute, enhance_whole,
+                     sad_brute, sad_rowloop, score_matrix, seqslam_scores_brute, traced_peak)
 from seqplace import classic, cli, core
 from seqplace.classic import (
     SeqSlamConfig,
@@ -82,7 +82,8 @@ class TestSimilarityMatrix:
 
     @pytest.mark.parametrize("block_bytes", [8, 8 * 3 * 16, None])
     def test_blocked_cosine_equals_whole_matrix_formula(self, block_bytes, monkeypatch):
-        # norms over row blocks of 1 and 3 rows and the default block
+        # norms over row blocks of 1 and 3 rows and the default block; a map
+        # of at most COSINE_ROWS frames is one GEMM block, the whole matrix
         if block_bytes is not None:
             monkeypatch.setattr(classic, "BLOCK_BYTES", block_bytes)
         rng = seeded_rng(15)
@@ -122,6 +123,13 @@ class TestSimilarityMatrix:
         b = DescriptorSequence(data=[[1.0, 0.0]])
         with pytest.raises(ValidationError, match="reference frame 1"):
             similarity_matrix(a, b, metric="cosine")
+        with pytest.raises(ValidationError, match="query frame 1:"):
+            similarity_matrix(b, a, metric="cosine")
+        # the query is normalized before the reference blocks, but with zero
+        # rows on both sides the reference is still named
+        c = DescriptorSequence(data=[[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="reference frame 2:"):
+            similarity_matrix(c, a, metric="cosine")
 
 
 class TestContrastEnhance:
@@ -175,6 +183,10 @@ class TestContrastEnhance:
             d = rng.uniform(0, 2, (40, 6))
             out = contrast_enhance(d, 8)
             assert np.all(np.abs(out.mean(axis=0)) < 0.5)
+
+    def test_matrix_without_rows_rejected(self):
+        with pytest.raises(ValidationError, match="no rows"):
+            contrast_enhance(np.zeros((0, 5)), 4)
 
     def test_window_too_small(self):
         with pytest.raises(ValidationError):
@@ -403,9 +415,34 @@ class TestDeltaDescriptors:
             want = delta_brute(data.astype(np.float64), w)
             assert np.allclose(out.data, want, atol=1e-6)
 
+    @pytest.mark.parametrize("w", [1, 3, 5])
+    @pytest.mark.parametrize("block_bytes", [8 * 6 * 4, None], ids=["4-frame-blocks", "default"])
+    def test_blocked_equals_whole_map_formula(self, monkeypatch, w, block_bytes):
+        # n - 2w + 1 frames have a full half-window on each side: one short
+        # block, exactly one and two blocks, and blocks with a partial one
+        # after them; at w = 3 and 5 the 2w sums a block carries over
+        # outnumber its 4 frames
+        if block_bytes is not None:
+            monkeypatch.setattr(classic, "BLOCK_BYTES", block_bytes)
+        rng = seeded_rng(16)
+        for valid in (2, 3, 4, 5, 8, 9, 11):
+            data = rng.standard_normal((valid + 2 * w - 1, 6)).astype(np.float32)
+            data[:, 0] = -0.0  # each zero delta keeps the whole-map formula's sign
+            out = delta_descriptors(DescriptorSequence(data=data), w).data
+            assert np.array_equal(out, delta_whole(data, w))
+            assert np.array_equal(np.signbit(out), np.signbit(delta_whole(data, w)))
+
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             delta_descriptors(DescriptorSequence(data=np.ones((6, 2), np.float32)), 3)
+
+    def test_allocations_bounded_by_output(self):
+        # the float32 output, which DescriptorSequence keeps uncopied, and
+        # block buffers: no float64 copy of the map (8 MB here)
+        rng = seeded_rng(17)
+        desc = DescriptorSequence(data=rng.standard_normal((2000, 512)).astype(np.float32))
+        peak = traced_peak(lambda: delta_descriptors(desc, 5))
+        assert peak <= 4 * 2000 * 512 + 8 * classic.BLOCK_BYTES + (1 << 20)
 
 
 class TestInputsAndMemory:
@@ -497,16 +534,16 @@ class TestInputsAndMemory:
 
     def test_cosine_seqslam_pipeline_holds_two_matrices(self, monkeypatch):
         # cosine's C (N, Q) matrix, the enhanced copy the line search then
-        # works in, the float64 descriptor copies and block buffers: no third
-        # N x Q matrix (8 MB here)
+        # works in, the float64 query copy and block buffers: no third N x Q
+        # matrix (8 MB here) and no float64 copy of the reference (16 MB)
         rng = seeded_rng(27)
-        ref = DescriptorSequence(data=rng.standard_normal((2000, 64)).astype(np.float32))
-        query = DescriptorSequence(data=rng.standard_normal((500, 64)).astype(np.float32))
+        ref = DescriptorSequence(data=rng.standard_normal((2000, 1024)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((500, 1024)).astype(np.float32))
         for parts in (1, 2):
             cpus(monkeypatch, parts)
             peak = traced_peak(lambda: classic.match("seqslam", ref, query, SeqSlamConfig(),
                                                      metric="cosine"))
-            assert peak <= 8 * (2 * 2000 * 500 + 2000 * 64 + 500 * 64) \
+            assert peak <= 8 * (2 * 2000 * 500 + 500 * 1024) \
                 + parts * 8 * classic.BLOCK_BYTES + (1 << 20), parts
 
     def test_sad_allocations_bounded_by_query_copy_and_output(self, monkeypatch):
@@ -521,19 +558,24 @@ class TestInputsAndMemory:
             assert peak <= 8 * (2000 * 100 + 100 * 512) + parts * 2 * classic.BLOCK_BYTES \
                 + (1 << 20), parts
 
-    def test_cosine_allocations_bounded_by_copies_and_output(self):
-        # the float64 copies of both inputs and the output matrix, plus
-        # block-sized work buffers: no full-size square or second matrix
+    def test_cosine_allocations_bounded_by_copies_and_output(self, monkeypatch):
+        # the output, the float64 query copy and one block of COSINE_ROWS
+        # widened reference rows per part: no float64 copy of the reference
+        # map (8 MB here), no full-size square and no second matrix
         rng = seeded_rng(20)
         ref = DescriptorSequence(data=rng.standard_normal((2000, 512)).astype(np.float32))
         query = DescriptorSequence(data=rng.standard_normal((100, 512)).astype(np.float32))
-        peak = traced_peak(lambda: similarity_matrix(ref, query, metric="cosine"))
-        assert peak <= 8 * (2000 * 512 + 100 * 512 + 2000 * 100) + (1 << 20)
+        for parts in (1, 2):
+            cpus(monkeypatch, parts)
+            peak = traced_peak(lambda: similarity_matrix(ref, query, metric="cosine"))
+            assert peak <= 8 * (2000 * 100 + 100 * 512) \
+                + parts * 8 * classic.COSINE_ROWS * 512 + (1 << 20), parts
 
 
 class TestParts:
-    """SAD and contrast enhancement split their query rows over the CPUs of
-    the affinity mask; the line search and everything after it stay serial."""
+    """SAD and contrast enhancement split their query rows, and cosine its
+    blocks of reference rows, over the CPUs of the affinity mask; the line
+    search and everything after it stay serial."""
 
     @pytest.mark.parametrize("n_cpus", [2, 3, 7])
     @pytest.mark.parametrize("n_ref, n_query, block_bytes", [(300, 40, 8 * 16 * 7),
@@ -570,6 +612,39 @@ class TestParts:
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2].predicted, want[2].predicted)
         assert np.array_equal(got[2].confidence, want[2].confidence)
+
+    @pytest.mark.parametrize("n_cpus", [2, 3, 7])
+    @pytest.mark.parametrize("n_ref, cosine_rows", [(60, 7), (20, None)],
+                             ids=["many-blocks", "one-block"])
+    def test_cosine_equals_one_part_and_blocked_formula(self, monkeypatch, n_cpus, n_ref,
+                                                        cosine_rows):
+        # nine blocks of 7 reference rows, the last one short, so that 7
+        # CPUs make 7 parts; or one default block, which no CPU count splits
+        if cosine_rows is not None:
+            monkeypatch.setattr(classic, "COSINE_ROWS", cosine_rows)
+        rng = seeded_rng(44)
+        ref = DescriptorSequence(data=rng.standard_normal((n_ref, 16)).astype(np.float32))
+        query = DescriptorSequence(data=rng.standard_normal((9, 16)).astype(np.float32))
+        want = cosine_blocked(ref.data, query.data, classic.COSINE_ROWS)
+        cpus(monkeypatch, 1)
+        assert np.array_equal(similarity_matrix(ref, query, metric="cosine"), want)
+        cpus(monkeypatch, n_cpus)
+        threads = threading.active_count()
+        got = similarity_matrix(ref, query, metric="cosine")
+        assert threading.active_count() == threads
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("zeros", [(9, 17), (2, 20)], ids=["two-workers", "caller-and-worker"])
+    def test_zero_norm_frames_in_two_parts_name_the_lowest(self, monkeypatch, zeros):
+        # six blocks of 4 rows over 3 CPUs: parts of rows 0-7, 8-15, 16-23
+        monkeypatch.setattr(classic, "COSINE_ROWS", 4)
+        cpus(monkeypatch, 3)
+        data = np.ones((24, 3), np.float32)
+        data[list(zeros)] = 0.0
+        ref = DescriptorSequence(data=data)
+        query = DescriptorSequence(data=np.ones((2, 3), np.float32))
+        with pytest.raises(ValidationError, match=f"reference frame {zeros[0]}:"):
+            similarity_matrix(ref, query, metric="cosine")
 
     def test_match_csv_equals_one_part(self, monkeypatch, tmp_path):
         rng = seeded_rng(42)
